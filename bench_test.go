@@ -20,7 +20,6 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/crossbar"
-	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/experiments"
 	"nwdec/internal/geometry"
@@ -314,12 +313,13 @@ func BenchmarkJobCheckpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkDistributedChunks times one job chunk through the ring
-// executor against an in-process chunk peer: wire marshal, POST
-// /peer/chunk, peer-side partition re-derivation and evaluation, and
-// dataset parse — the full per-chunk cost a distributed job pays over a
-// local one. Chunk ownership round-robins across the ring, so the
-// figure mixes peer-served and local chunks the way a real job does.
+// BenchmarkDistributedChunks times one job chunk through the engine
+// executor over a peer backend against an in-process peer node: ranged
+// request wire marshal, POST /peer/, the owner's engine evaluating the
+// point range, the key check and dataset parse — the full per-chunk cost
+// a distributed job pays over a local one. Chunk ownership spreads
+// across the ring, so the figure mixes peer-served and local chunks the
+// way a real job does.
 func BenchmarkDistributedChunks(b *testing.B) {
 	spec := jobs.Spec{
 		Grid: sweep.Grid{
@@ -334,24 +334,30 @@ func BenchmarkDistributedChunks(b *testing.B) {
 		b.Fatal("empty grid")
 	}
 	ranges := par.Ranges(len(points), spec.Chunk)
-	peer := httptest.NewServer(cluster.ChunkHandler("b",
-		func(ctx context.Context, req engine.ChunkRequest) (string, *dataset.Dataset, error) {
-			return jobs.ServeChunk(ctx, 0, req)
-		}))
+	owner, err := engine.New(engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	peer := httptest.NewServer(cluster.PeerHandler(owner))
 	defer peer.Close()
-	ring, err := jobs.NewRingExecutor(&jobs.LocalExecutor{}, jobs.RingOptions{
+	local, err := engine.New(engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pb, err := cluster.NewPeerBackend(local, cluster.Options{
 		Self:  "a",
 		Peers: map[string]string{"b": peer.URL},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	exec := &jobs.EngineExecutor{Backend: pb}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := i % len(ranges)
 		rg := ranges[idx]
-		ds, err := ring.Execute(ctx, spec, jobs.Chunk{Index: idx, Points: points[rg.Lo:rg.Hi]})
+		ds, err := exec.Execute(ctx, spec, jobs.Chunk{Index: idx, Points: points[rg.Lo:rg.Hi]})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +366,7 @@ func BenchmarkDistributedChunks(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := ring.Stats(); b.N >= len(ranges) && st.Served == 0 {
+	if st := pb.Stats(); b.N >= len(ranges) && st.Served == 0 {
 		b.Fatal("no chunk was peer-served: the benchmark no longer measures the wire path")
 	}
 }

@@ -9,8 +9,7 @@
 //
 //	nwserve [-addr HOST:PORT] [-cache-entries N] [-cache-cost C]
 //	        [-inflight N] [-shed] [-node-id ID] [-peers ID=URL,...]
-//	        [-job-store DIR] [-job-gc D] [-workers W] [-timeout D]
-//	        [-smoke] [-peer-smoke]
+//	        [-job-store DIR] [-job-gc D] [-workers W] [-timeout D] [-smoke]
 //	        [-metrics text|json|csv|md] [-metrics-out FILE] [-pprof DIR]
 //
 // Endpoints (JSON):
@@ -52,22 +51,20 @@
 // degrades that key to local computation, never to an error. See
 // internal/cluster.
 //
-// Peered jobs distribute the same way: each chunk of a submitted job
-// routes to its chunk key's ring owner over POST /peer/chunk (responses
-// carry X-Job-Node and X-Chunk-Key), wrapped in bounded retries, with
-// local compute as the fallback for any peer failure — the submitting
-// node still owns every checkpoint, so results stay byte-identical to a
-// single-node run. -job-gc AGE collects terminal jobs whose store state
-// has not changed for AGE (it needs -job-store); DELETE /v1/jobs/{id}
-// removes one terminal job on demand. See internal/jobs and DESIGN §15.
+// Jobs compute through the same backend: each chunk of a submitted job
+// is a sweep request over the chunk's slice of the grid, so a peered
+// node routes it to its key's ring owner over POST /peer/ like any other
+// request, with local compute as the fallback for any peer failure — the
+// submitting node still owns every checkpoint, so results stay
+// byte-identical to a single-node run. -job-gc AGE collects terminal
+// jobs whose store state has not changed for AGE (it needs -job-store);
+// DELETE /v1/jobs/{id} removes one terminal job on demand. See
+// internal/jobs and DESIGN §15.
 //
 // The server shuts down gracefully when its context is cancelled: on
 // SIGINT/SIGTERM or when -timeout elapses. -smoke starts the server on a
 // loopback port, issues one self-request, verifies the response and
-// exits; -peer-smoke starts a two-node in-process fleet, fetches the
-// same experiment twice through the non-owning node and verifies
-// miss-peer then hit-peer — the CI checks for the single-node and
-// clustered paths.
+// exits — the CI check of the real binary's listener and shutdown.
 package main
 
 import (
@@ -109,7 +106,6 @@ func main() {
 		jobStore     = flag.String("job-store", "", "checkpoint directory for async jobs (empty = in-memory, no kill/restart durability)")
 		jobGC        = flag.Duration("job-gc", 0, "collect terminal jobs untouched for this long (0 = never; needs -job-store)")
 		smoke        = flag.Bool("smoke", false, "start on a loopback port, self-request once, verify and exit")
-		peerSmoke    = flag.Bool("peer-smoke", false, "start a two-node in-process fleet, verify miss-peer then hit-peer and exit")
 	)
 	c := cli.Register("nwserve", "json")
 	flag.Parse()
@@ -118,14 +114,6 @@ func main() {
 	defer c.Close()
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *peerSmoke {
-		if err := runPeerSmoke(ctx, c.Workers); err != nil {
-			c.Exit(err)
-		}
-		fmt.Fprintln(os.Stderr, "nwserve: peer smoke ok (miss-peer then hit-peer via the key's owner)")
-		return
-	}
 
 	eng, err := engine.New(engine.Options{
 		MaxEntries:  *cacheEntries,
@@ -136,27 +124,11 @@ func main() {
 	if err != nil {
 		c.Exit(err)
 	}
-	var backend engine.Backend = eng
-	var exec jobs.Executor
+	var peers map[string]string
 	if *peersFlag != "" {
-		peers, err := cli.Peers(*peersFlag)
-		if err != nil {
+		if peers, err = cli.Peers(*peersFlag); err != nil {
 			c.Exit(err)
 		}
-		pb, err := cluster.NewPeerBackend(eng, cluster.Options{Self: *nodeID, Peers: peers})
-		if err != nil {
-			c.Exit(err)
-		}
-		backend = pb
-		// Peered jobs route chunks across the same membership: ring
-		// owner first, bounded retries around it, local compute as the
-		// everywhere-fallback.
-		ring, err := jobs.NewRingExecutor(&jobs.LocalExecutor{Workers: c.Workers}, jobs.RingOptions{Self: *nodeID, Peers: peers})
-		if err != nil {
-			c.Exit(err)
-		}
-		exec = &jobs.RetryExecutor{Next: ring}
-		fmt.Fprintf(os.Stderr, "nwserve: cluster node %q, ring %v\n", *nodeID, pb.Ring().Nodes())
 	}
 	var store jobs.Store
 	if *jobStore != "" {
@@ -166,19 +138,20 @@ func main() {
 	} else {
 		store = jobs.NewMemoryStore()
 	}
-	node := *nodeID
-	if node == "" {
-		node = "local"
+	srv, err := newServer(eng, store, *nodeID, peers, c.Workers)
+	if err != nil {
+		c.Exit(err)
 	}
-	runner := jobs.NewRunner(store, jobs.Options{Workers: c.Workers, Executor: exec, Node: node})
-	defer runner.Close()
+	defer srv.runner.Close()
+	if pb, ok := srv.backend.(*cluster.PeerBackend); ok {
+		fmt.Fprintf(os.Stderr, "nwserve: cluster node %q, ring %v\n", *nodeID, pb.Ring().Nodes())
+	}
 	if *jobGC > 0 {
 		if *jobStore == "" {
 			c.Exit(nwerr.Invalidf("-job-gc needs -job-store (an in-memory store records no ages)"))
 		}
-		go gcLoop(ctx, runner, *jobGC)
+		go gcLoop(ctx, srv.runner, *jobGC)
 	}
-	srv := &server{eng: eng, backend: backend, runner: runner, workers: c.Workers, node: node}
 	listenAddr := *addr
 	if *smoke {
 		listenAddr = "127.0.0.1:0"
@@ -294,77 +267,9 @@ func jobSmoke(ctx context.Context, base string) error {
 	defer cancel()
 	// code.Type serializes as its enum int (1 = Gray code), matching the
 	// engine wire form.
-	body := `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[0.05]},"chunk":1}`
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, base+"/v1/jobs", strings.NewReader(body))
+	st, data, err := runJob(rctx, base, `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[0.05]},"chunk":1}`)
 	if err != nil {
 		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	data, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("POST /v1/jobs: status %d: %s", resp.StatusCode, data)
-	}
-	var st jobs.Status
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("job status body: %w", err)
-	}
-	for st.State == jobs.StateRunning {
-		time.Sleep(20 * time.Millisecond)
-		get, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(get)
-		if err != nil {
-			return err
-		}
-		data, err := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET /v1/jobs/%s: status %d: %s", st.ID, resp.StatusCode, data)
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
-			return fmt.Errorf("job status body: %w", err)
-		}
-	}
-	if st.State != jobs.StateComplete {
-		return fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	get, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/jobs/"+st.ID+"/results", nil)
-	if err != nil {
-		return err
-	}
-	resp, err = http.DefaultClient.Do(get)
-	if err != nil {
-		return err
-	}
-	data, err = io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/jobs/%s/results: status %d: %s", st.ID, resp.StatusCode, data)
-	}
-	if got := resp.Header.Get("X-Job-State"); got != string(jobs.StateComplete) {
-		return fmt.Errorf("results X-Job-State %q, want complete", got)
 	}
 	var doc struct {
 		Name string  `json:"name"`
@@ -407,96 +312,82 @@ func jobSmoke(ctx context.Context, base string) error {
 	return nil
 }
 
-// runPeerSmoke is the clustered self-check: it starts two cross-peered
-// nodes in this process, routes the same experiment request twice
-// through the node that does NOT own its key, and verifies the first
-// fetch computes on the owner (miss-peer) and the second is served from
-// the owner's cache (hit-peer). It exercises the full peer path — ring
-// lookup, POST /peer/, wire round trip, dataset re-parse — the way the
-// -smoke flag exercises the single-node path.
-func runPeerSmoke(ctx context.Context, workers int) error {
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+// runJob submits a jobs.Spec JSON body through POST /v1/jobs, polls the
+// job's status until it leaves the running state, and returns the final
+// status with the GET /results body of the complete job.
+func runJob(ctx context.Context, base, body string) (jobs.Status, []byte, error) {
+	var st jobs.Status
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", strings.NewReader(body))
 	if err != nil {
-		return err
+		return st, nil, err
 	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		if cerr := lnA.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "nwserve: %v\n", cerr)
-		}
-		return err
+		return st, nil, err
 	}
-	urls := map[string]string{
-		"a": "http://" + lnA.Addr().String(),
-		"b": "http://" + lnB.Addr().String(),
+	data, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
 	}
-	node := func(self, peer string) (*server, error) {
-		eng, err := engine.New(engine.Options{Shed: true})
+	if err != nil {
+		return st, nil, err
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return st, nil, fmt.Errorf("POST /v1/jobs: status %d: %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return st, nil, fmt.Errorf("job status body: %w", err)
+	}
+	for st.State == jobs.StateRunning {
+		time.Sleep(20 * time.Millisecond)
+		get, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+st.ID, nil)
 		if err != nil {
-			return nil, err
+			return st, nil, err
 		}
-		pb, err := cluster.NewPeerBackend(eng, cluster.Options{
-			Self:  self,
-			Peers: map[string]string{peer: urls[peer]},
-		})
+		resp, err := http.DefaultClient.Do(get)
 		if err != nil {
-			return nil, err
+			return st, nil, err
 		}
-		return &server{eng: eng, backend: pb, workers: workers}, nil
+		data, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return st, nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return st, nil, fmt.Errorf("GET /v1/jobs/%s: status %d: %s", st.ID, resp.StatusCode, data)
+		}
+		if err := json.Unmarshal(data, &st); err != nil {
+			return st, nil, fmt.Errorf("job status body: %w", err)
+		}
 	}
-	srvA, err := node("a", "b")
+	if st.State != jobs.StateComplete {
+		return st, nil, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	get, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+st.ID+"/results", nil)
 	if err != nil {
-		return err
+		return st, nil, err
 	}
-	srvB, err := node("b", "a")
+	resp, err = http.DefaultClient.Do(get)
 	if err != nil {
-		return err
+		return st, nil, err
 	}
-	serve := func(ln net.Listener, s *server) (*http.Server, chan error) {
-		hs := &http.Server{
-			Handler:     s.mux(),
-			BaseContext: func(net.Listener) context.Context { return ctx },
-		}
-		served := make(chan error, 1)
-		go func() { served <- hs.Serve(ln) }()
-		return hs, served
+	data, err = io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
 	}
-	hsA, servedA := serve(lnA, srvA)
-	hsB, servedB := serve(lnB, srvB)
-
-	err = func() error {
-		// Ask the node that does not own the key, so the request must
-		// cross the peer protocol. Both rings are built from the same
-		// membership, so both nodes agree on the owner.
-		req := engine.Request{Kind: engine.KindExperiment, Experiment: "fig5"}
-		owner := srvA.backend.(*cluster.PeerBackend).Ring().Owner(req.Key())
-		asker := "a"
-		if owner == "a" {
-			asker = "b"
-		}
-		fmt.Fprintf(os.Stderr, "nwserve: peer smoke: key owner %q, asking %q\n", owner, asker)
-		for _, want := range []string{"miss-peer", "hit-peer"} {
-			name, cache, err := fetchExperiment(ctx, urls[asker], "fig5")
-			if err != nil {
-				return fmt.Errorf("peer smoke: %w", err)
-			}
-			if name != "fig5" {
-				return fmt.Errorf("peer smoke: dataset name %q, want fig5", name)
-			}
-			if cache != want {
-				return fmt.Errorf("peer smoke: X-Cache %q, want %q", cache, want)
-			}
-		}
-		return nil
-	}()
-
-	if serr := shutdown(hsA, servedA); err == nil {
-		err = serr
+	if err != nil {
+		return st, nil, err
 	}
-	if serr := shutdown(hsB, servedB); err == nil {
-		err = serr
+	if resp.StatusCode != http.StatusOK {
+		return st, nil, fmt.Errorf("GET /v1/jobs/%s/results: status %d: %s", st.ID, resp.StatusCode, data)
 	}
-	return err
+	if got := resp.Header.Get("X-Job-State"); got != string(jobs.StateComplete) {
+		return st, nil, fmt.Errorf("results X-Job-State %q, want complete", got)
+	}
+	return st, data, nil
 }
 
 // fetchExperiment GETs /v1/experiment/{name} from a node and returns the
@@ -541,20 +432,36 @@ type server struct {
 	backend engine.Backend
 	runner  *jobs.Runner
 	workers int
-	node    string
+}
+
+// newServer wires one node: the cluster routing layer over eng when peers
+// are given (self is then the node's ring identity), and a job runner
+// over store whose chunks go through the same backend as every
+// synchronous request, so a peered node spreads them over the fleet.
+func newServer(eng *engine.Engine, store jobs.Store, self string, peers map[string]string, workers int) (*server, error) {
+	s := &server{eng: eng, backend: eng, workers: workers}
+	if peers != nil {
+		pb, err := cluster.NewPeerBackend(eng, cluster.Options{Self: self, Peers: peers})
+		if err != nil {
+			return nil, err
+		}
+		s.backend = pb
+	}
+	if self == "" {
+		self = "local"
+	}
+	s.runner = jobs.NewRunner(store, jobs.Options{
+		Workers:  workers,
+		Executor: &jobs.EngineExecutor{Backend: s.backend, Workers: workers},
+		Node:     self,
+	})
+	return s, nil
 }
 
 // mux wires the routes using Go 1.22 method+path patterns.
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
 	m.Handle("POST "+cluster.PeerPath, cluster.PeerHandler(s.eng))
-	// The chunk route is more specific than PeerPath, so it wins the
-	// dispatch. Chunks from peers always compute here (ServeChunk is a
-	// local evaluation), never re-route — same no-bouncing rule as /peer/.
-	m.Handle("POST "+cluster.ChunkPath, cluster.ChunkHandler(s.node,
-		func(ctx context.Context, req engine.ChunkRequest) (string, *dataset.Dataset, error) {
-			return jobs.ServeChunk(ctx, s.workers, req)
-		}))
 	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if _, err := fmt.Fprintln(w, `{"status":"ok"}`); err != nil {

@@ -27,12 +27,13 @@
 // output renders the dataset form in every format (the historical
 // fixed-precision CSV writer applies only to synchronous sweeps).
 //
-// With -peers ("b=http://host2:8607,...") job chunks route to their
-// owners on the fleet's consistent-hash ring (the nwserve nodes serve
-// POST /peer/chunk), with bounded retries and local compute as the
-// fallback for any peer failure. Checkpointing stays in this process,
-// so distributed output is byte-identical to a single-process run; a
-// final ring accounting line goes to stderr.
+// With -peers ("b=http://host2:8607,...") each job chunk — a sweep
+// request over the chunk's slice of the grid — routes to its key's owner
+// on the fleet's consistent-hash ring (the nwserve nodes serve it on
+// POST /peer/), with local compute as the fallback for any peer failure.
+// Checkpointing stays in this process, so distributed output is
+// byte-identical to a single-process run; a final ring accounting line
+// goes to stderr.
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"os"
 
 	"nwdec/internal/cli"
+	"nwdec/internal/cluster"
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/jobs"
@@ -141,22 +143,26 @@ func runJob(ctx context.Context, c *cli.Common, grid sweep.Grid, storeDir string
 		}
 		store = jobs.NewMemoryStore()
 	}
-	// With -peers, chunks route to their ring owners (bounded retries,
-	// local fallback on any peer failure); checkpointing stays here, so
-	// output is byte-identical to a single-process run.
+	// With -peers, chunks route to their ring owners over a fresh local
+	// engine (the fallback for any peer failure); checkpointing stays
+	// here, so output is byte-identical to a single-process run.
 	var (
 		exec jobs.Executor
-		ring *jobs.RingExecutor
+		ring *cluster.PeerBackend
 	)
 	if peersArg != "" {
 		peers, err := cli.Peers(peersArg)
 		if err != nil {
 			return err
 		}
-		if ring, err = jobs.NewRingExecutor(&jobs.LocalExecutor{Workers: c.Workers}, jobs.RingOptions{Self: nodeID, Peers: peers}); err != nil {
+		eng, err := engine.New(engine.Options{})
+		if err != nil {
 			return err
 		}
-		exec = &jobs.RetryExecutor{Next: ring}
+		if ring, err = cluster.NewPeerBackend(eng, cluster.Options{Self: nodeID, Peers: peers}); err != nil {
+			return err
+		}
+		exec = &jobs.EngineExecutor{Backend: ring, Workers: c.Workers}
 	}
 	runner := jobs.NewRunner(store, jobs.Options{Workers: c.Workers, Executor: exec, Node: nodeID})
 	defer runner.Close()
@@ -196,7 +202,7 @@ func runJob(ctx context.Context, c *cli.Common, grid sweep.Grid, storeDir string
 	if ring != nil {
 		rs := ring.Stats()
 		fmt.Fprintf(os.Stderr, "nwsweep: ring %s: routed=%d peer_served=%d peer_errors=%d\n",
-			nodeID, rs.Chunks, rs.Served, rs.Errors)
+			nodeID, rs.Requests, rs.Served, rs.Errors)
 	}
 	return nil
 }

@@ -53,9 +53,10 @@ type Options struct {
 // owning node. Requests this node owns — and requests that cannot cross
 // the wire (non-cacheable kinds, custom threshold models) — go straight
 // to the local engine. Requests a peer owns are POSTed to the peer's
-// PeerPath; any peer failure (connection, timeout, non-200, undecodable
-// body) falls back to computing locally, so the cluster degrades to a
-// set of independent nodes rather than an outage.
+// PeerPath; any peer failure (connection, timeout, non-200, a response
+// under another key, undecodable body) falls back to computing locally,
+// so the cluster degrades to a set of independent nodes rather than an
+// outage. Job chunks are ranged sweep requests and route the same way.
 //
 // Routing everything through the key's owner is what makes the fleet
 // compute each key once: the owner's singleflight coalesces concurrent
@@ -166,7 +167,11 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 // fetch asks the owning node for the request's result. The owner runs
 // the request through its own engine facade, so validation, caching,
 // deduplication and admission all happen there; this side only moves
-// bytes. The fetch is bounded by the per-peer timeout but stays on the
+// bytes. The owner's X-Request-Key must echo the routed key: a mismatch
+// means the owner computed some other request (a version skew — an older
+// owner drops fields it does not know, such as a chunk's point range),
+// and the response is rejected rather than served under the wrong
+// label. The fetch is bounded by the per-peer timeout but stays on the
 // caller's goroutine — the hedge against a dead peer is the local
 // fallback in Handle, not a racing goroutine (this package is
 // goroutine-free by project policy).
@@ -200,6 +205,9 @@ func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request
 			msg = []byte("(unreadable body: " + rerr.Error() + ")")
 		}
 		return nil, nwerr.Internalf("cluster: peer %s: status %d: %s", base, hresp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	if got := hresp.Header.Get(headerKey); got != key {
+		return nil, nwerr.Internalf("cluster: peer %s answered key %q, want %q", base, got, key)
 	}
 	ds, err := dataset.ParseJSON(hresp.Body)
 	if err != nil {

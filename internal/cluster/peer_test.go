@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/nwerr"
+	"nwdec/internal/obs"
+	"nwdec/internal/sweep"
 )
 
 // testNode is one in-process fleet member: an engine behind an httptest
@@ -213,6 +217,114 @@ func TestClusterDeadPeerFallsBackLocal(t *testing.T) {
 	}
 	if got := computeCount(eng); got != 1 {
 		t.Errorf("local engine computed %d times, want 1", got)
+	}
+}
+
+// TestPeerBackendFailover pins every peer failure that must fall back
+// to local compute: a 5xx, a timeout, and a 200 under another request's
+// key. Each yields the correct dataset with the fallback counted — never
+// an error, never a wrong result. The wrong-key owner predates point
+// ranges: it drops a chunk's range and answers the whole grid.
+func TestPeerBackendFailover(t *testing.T) {
+	grid := sweep.Grid{Lengths: []int{4, 6}, SigmaTs: []float64{0.04, 0.05, 0.06}}
+	stale, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+		timeout time.Duration
+	}{
+		{"peer-5xx", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "boom", http.StatusInternalServerError)
+		}, 0},
+		{"peer-timeout", func(w http.ResponseWriter, r *http.Request) {
+			// The server notices the client hanging up only once the
+			// body is consumed.
+			if _, err := io.Copy(io.Discard, r.Body); err != nil {
+				return
+			}
+			select {
+			case <-r.Context().Done():
+			case <-time.After(2 * time.Second):
+			}
+		}, 50 * time.Millisecond},
+		{"wrong-key", func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			req, err := engine.UnmarshalWire(body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			req.Lo, req.Hi = 0, 0
+			if body, err = req.MarshalWire(); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			PeerHandler(stale).ServeHTTP(w, r)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(tc.handler)
+			defer srv.Close()
+			eng, err := engine.New(engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend, err := NewPeerBackend(eng, Options{
+				Self:    "a",
+				Peers:   map[string]string{"b": srv.URL},
+				Timeout: tc.timeout,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var req engine.Request
+			for lo := 0; ; lo++ {
+				req = engine.Request{Kind: engine.KindSweep, Grid: grid, Lo: lo, Hi: lo + 1}
+				if backend.Ring().Owner(req.Key()) == "b" {
+					break
+				}
+			}
+			reg := obs.New(nil)
+			resp, err := backend.Handle(obs.Into(context.Background(), reg), req)
+			if err != nil {
+				t.Fatalf("fallback must absorb the peer failure, got %v", err)
+			}
+			if resp.Peer {
+				t.Error("response claims peer provenance after a failed fetch")
+			}
+			want, err := eng.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := resp.Dataset.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := want.Dataset.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(wantJSON) {
+				t.Error("fallback dataset differs from local evaluation")
+			}
+			if n := reg.Counter("cluster/peer/fallback_local").Value(); n != 1 {
+				t.Errorf("cluster/peer/fallback_local = %d, want 1", n)
+			}
+			if n := reg.Counter("cluster/peer/errors").Value(); n != 1 {
+				t.Errorf("cluster/peer/errors = %d, want 1", n)
+			}
+			if st := backend.Stats(); st.Errors != 1 || st.Served != 0 {
+				t.Errorf("peer stats = %+v, want errors=1 served=0", st)
+			}
+		})
 	}
 }
 

@@ -135,11 +135,21 @@ func (r *Ring) Len() int {
 
 // hash64 is the ring's position hash: FNV-1a, chosen because it is
 // stable across processes and platforms (a seeded or map-order hash
-// would give every process its own ring).
+// would give every process its own ring), then the murmur3 64-bit
+// finalizer. Raw FNV-1a barely moves the high bits — the ones that
+// order the ring — for strings that differ only in their last bytes,
+// as vnode labels ("a#0", "a#1", ...) do; without the finalizer a ring
+// of a, b and c owned 9%, 32% and 59% of the keyspace.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprint(h, s) // hash writes never fail
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // itoa is strconv.Itoa for the small non-negative vnode indices, inlined

@@ -162,7 +162,9 @@ func (e *Engine) Handle(ctx context.Context, req Request) (*Response, error) {
 // deduplicate against in-flight identical requests, consult the cache,
 // and compute under admission control. The returned response is the
 // caller's own — its dataset is a private clone — and its CacheHit field
-// reports whether any computation happened on the caller's behalf.
+// reports whether any computation happened on the caller's behalf. A
+// ranged sweep (a job chunk) skips the chain and goes straight to the
+// compute layer: chunks are never cached, deduplicated or shed.
 //
 // Errors are classified per internal/nwerr: a malformed request is
 // Invalid (no work is admitted), ctx cancellation surfaces as Canceled,
@@ -186,7 +188,11 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		e.stats.errors.Add(1)
 		return nil, nwerr.Canceled(err)
 	}
-	resp, err := e.head.Handle(ctx, req)
+	next := e.head
+	if req.Hi != 0 {
+		next = e.compute
+	}
+	resp, err := next.Handle(ctx, req)
 	if err != nil {
 		e.stats.errors.Add(1)
 		return nil, err

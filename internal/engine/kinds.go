@@ -9,6 +9,7 @@ import (
 	"nwdec/internal/core"
 	"nwdec/internal/dataset"
 	"nwdec/internal/experiments"
+	"nwdec/internal/nwerr"
 	"nwdec/internal/stats"
 	"nwdec/internal/sweep"
 )
@@ -102,7 +103,19 @@ func computeExperiment(ctx context.Context, req Request) (*Response, error) {
 }
 
 func computeSweep(ctx context.Context, req Request) (*Response, error) {
-	rows, err := sweep.RunWorkers(ctx, req.Config, req.Grid, req.Workers)
+	var (
+		rows []sweep.Row
+		err  error
+	)
+	if req.Hi == 0 {
+		rows, err = sweep.RunWorkers(ctx, req.Config, req.Grid, req.Workers)
+	} else {
+		points := req.Grid.Points(req.Config)
+		if req.Hi > len(points) {
+			return nil, nwerr.Invalidf("engine: sweep range [%d,%d) exceeds the grid's %d points", req.Lo, req.Hi, len(points))
+		}
+		rows, err = sweep.EvalPoints(ctx, req.Workers, points[req.Lo:req.Hi])
+	}
 	if err != nil {
 		return nil, err
 	}

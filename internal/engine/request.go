@@ -84,6 +84,12 @@ type Request struct {
 	// Trials is the repetition count for KindMonteCarlo and the
 	// Monte-Carlo experiments (KindExperiment; 0 = the runner default).
 	Trials int
+	// Lo and Hi select the point slice [Lo, Hi) of Grid.Points for
+	// KindSweep (Hi == 0 = the whole grid). A ranged sweep is one job
+	// chunk, so its key is the chunk's identity. Engine.Do hands ranged
+	// requests straight to the compute layer: like the chunks they are,
+	// they are never cached, deduplicated or admitted.
+	Lo, Hi int
 	// Workers bounds the worker pool (0 = GOMAXPROCS). It is an
 	// execution detail: results are bit-identical at every worker count,
 	// so Workers is excluded from the cache key — a request computed at
@@ -99,11 +105,13 @@ type Request struct {
 // of every identity field. The configuration contributes through
 // Config.Fingerprint, which folds in the threshold model's calibration
 // parameters; Workers is deliberately absent (see the field comment).
+// The point range enters the fingerprint only when set, so every
+// unranged request keeps the address it had before ranges existed.
 func (r Request) Key() string {
 	if r.key != "" {
 		return r.key
 	}
-	return string(r.Kind) + "/" + dataset.Fingerprint(struct {
+	id := struct {
 		Config     string
 		Experiment string
 		Grid       sweep.Grid
@@ -123,8 +131,18 @@ func (r Request) Key() string {
 		Count:      r.Count,
 		Seed:       r.Seed,
 		Trials:     r.Trials,
-	})
+	}
+	if !r.ranged() {
+		return string(r.Kind) + "/" + dataset.Fingerprint(id)
+	}
+	return string(r.Kind) + "/" + dataset.Fingerprint(struct {
+		ID     any
+		Lo, Hi int
+	}{id, r.Lo, r.Hi})
 }
+
+// ranged reports whether the request selects a point range.
+func (r Request) ranged() bool { return r.Lo != 0 || r.Hi != 0 }
 
 // validate rejects malformed requests with Invalid-class errors — and
 // well-formed requests naming nonexistent experiments with NotFound-class
@@ -144,6 +162,14 @@ func (r Request) validate() error {
 	}
 	if r.Count < 0 {
 		return nwerr.Invalidf("engine: negative word count %d", r.Count)
+	}
+	if r.ranged() {
+		if r.Kind != KindSweep {
+			return nwerr.Invalidf("engine: a point range applies only to sweep requests, not %q", string(r.Kind))
+		}
+		if r.Lo < 0 || r.Hi <= r.Lo {
+			return nwerr.Invalidf("engine: empty or negative sweep range [%d,%d)", r.Lo, r.Hi)
+		}
 	}
 	return nil
 }

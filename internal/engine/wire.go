@@ -26,6 +26,8 @@ type wireRequest struct {
 	Count      int            `json:"count,omitempty"`
 	Seed       uint64         `json:"seed,omitempty"`
 	Trials     int            `json:"trials,omitempty"`
+	Lo         int            `json:"lo,omitempty"`
+	Hi         int            `json:"hi,omitempty"`
 }
 
 // Wireable reports whether the request can cross the peer protocol: its
@@ -56,6 +58,8 @@ func (r Request) MarshalWire() ([]byte, error) {
 		Count:      r.Count,
 		Seed:       r.Seed,
 		Trials:     r.Trials,
+		Lo:         r.Lo,
+		Hi:         r.Hi,
 	})
 }
 
@@ -78,44 +82,7 @@ func UnmarshalWire(data []byte) (Request, error) {
 		Count:      w.Count,
 		Seed:       w.Seed,
 		Trials:     w.Trials,
+		Lo:         w.Lo,
+		Hi:         w.Hi,
 	}, nil
-}
-
-// ChunkRequest is the wire form of one job-chunk computation for the
-// cluster chunk protocol (POST /peer/chunk): the identity fields of a
-// job spec — base config, grid, chunk size — plus the index of the one
-// chunk the serving node should evaluate. It lives here rather than in
-// internal/jobs because both sides of the protocol need it and the
-// cluster layer must not import jobs (the jobs layer composes over the
-// cluster, never the reverse). The serving node re-derives the
-// deterministic point partition from (config, grid, chunk) exactly as
-// the submitting runner did, so an index addresses the same points on
-// every node. Worker counts are deliberately absent, as everywhere in
-// the identity chain.
-type ChunkRequest struct {
-	Config core.Config `json:"config"`
-	Grid   sweep.Grid  `json:"grid"`
-	Chunk  int         `json:"chunk"`
-	Index  int         `json:"index"`
-}
-
-// MarshalWire encodes the chunk request for the peer protocol. A config
-// carrying a custom threshold model cannot cross the wire (the same
-// restriction as Request.Wireable) and is rejected as Invalid-class.
-func (r ChunkRequest) MarshalWire() ([]byte, error) {
-	if r.Config.Model != nil {
-		return nil, nwerr.Invalidf("engine: chunk request with a custom threshold model is not wireable")
-	}
-	return json.Marshal(r)
-}
-
-// UnmarshalChunkWire decodes a chunk-protocol request. Validation of the
-// decoded spec happens on the serving node; this only rejects bytes that
-// are not the wire form at all.
-func UnmarshalChunkWire(data []byte) (ChunkRequest, error) {
-	var r ChunkRequest
-	if err := json.Unmarshal(data, &r); err != nil {
-		return ChunkRequest{}, nwerr.Invalidf("engine: bad chunk wire request: %w", err)
-	}
-	return r, nil
 }

@@ -2,26 +2,22 @@ package jobs
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
-	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
-	"nwdec/internal/par"
 	"nwdec/internal/sweep"
 )
 
-// Executor evaluates one chunk of a job, mirroring the engine's Backend
-// pattern one layer up: the Runner owns checkpointing, lifecycle and
-// status — an Executor owns nothing but the computation of a chunk's
-// dataset, so layers compose freely (local compute, bounded retries,
-// ring routing) without any of them touching the store. That split is
-// what keeps resume byte-identity trivial: whichever layer produced a
-// chunk, the submitting Runner persists it into the same partition slot,
-// and the chunk dataset itself is a pure function of (spec, index).
+// Executor evaluates one chunk of a job: the Runner owns checkpointing,
+// lifecycle and status — an Executor owns nothing but the computation of
+// a chunk's dataset (LocalExecutor in this process, EngineExecutor
+// through an engine backend and so across a fleet), never touching the
+// store. That split is what keeps resume byte-identity trivial: whichever
+// executor produced a chunk, the submitting Runner persists it into the
+// same partition slot, and the chunk dataset itself is a pure function of
+// (spec, index).
 type Executor interface {
 	// Execute evaluates the chunk of the spec and returns its dataset.
 	// Implementations must be safe for concurrent use and must derive
@@ -33,8 +29,9 @@ type Executor interface {
 
 // Chunk is one unit of executor work: the index into the job's
 // deterministic partition plus the grid points of that slice. Carrying
-// the points keeps Execute free of re-derivation on the submitting node;
-// a remote node re-derives them from the wire form instead.
+// the points keeps LocalExecutor free of re-derivation; EngineExecutor
+// sends the slice's bounds instead, and the computing engine re-derives
+// the points from the grid.
 type Chunk struct {
 	// Index is the chunk's position in the par.Ranges partition.
 	Index int
@@ -42,13 +39,9 @@ type Chunk struct {
 	Points []sweep.Point
 }
 
-// ExecutorStats are the lifetime counters of one executor layer,
-// mirroring engine.BackendStats. Chunks counts Execute calls; Served
-// counts the calls the layer resolved through its own mechanism (local
-// compute, a successful retry, a peer answer); Errors counts failures
-// the layer observed — for the ring layer each error also produced a
-// local fallback, so an error there is degraded locality, not a failed
-// chunk.
+// ExecutorStats are the lifetime counters of one executor, mirroring
+// engine.BackendStats. Chunks counts Execute calls, Served the calls
+// that returned a dataset, Errors the calls that failed.
 type ExecutorStats struct {
 	Name   string
 	Chunks int64
@@ -56,8 +49,8 @@ type ExecutorStats struct {
 	Errors int64
 }
 
-// execStats is the embedded atomic counter block shared by the executor
-// layers.
+// execStats is the embedded atomic counter block shared by the
+// executors.
 type execStats struct {
 	chunks atomic.Int64
 	served atomic.Int64
@@ -102,125 +95,49 @@ func (e *LocalExecutor) Execute(ctx context.Context, spec Spec, chunk Chunk) (*d
 // Stats reports the layer's lifetime counters.
 func (e *LocalExecutor) Stats() ExecutorStats { return e.stats.snapshot("local") }
 
-// Retry defaults.
-const (
-	// DefaultRetryAttempts is the total attempt bound of a RetryExecutor
-	// (first try included).
-	DefaultRetryAttempts = 3
-	// DefaultRetryBackoff is the delay before the first retry; it doubles
-	// per attempt.
-	DefaultRetryBackoff = 50 * time.Millisecond
-)
-
-// RetryExecutor retries a failing inner executor with doubling backoff,
-// but only for error classes a retry can plausibly cure: Internal (a
-// flaky peer, a torn response) and Overload (a shedding node that asked
-// us to come back). Invalid, NotFound and Canceled failures — and a done
-// context — are surfaced immediately: retrying a request that cannot
-// succeed is how fleets melt down. The backoff wait is driven by a
-// timer, not the wall clock, so the deterministic-package invariant
-// holds; retries surface through the jobs/retries counter and Stats.
-type RetryExecutor struct {
-	// Next is the wrapped executor (required).
-	Next Executor
-	// Attempts bounds total tries (<= 0 selects DefaultRetryAttempts).
-	Attempts int
-	// Backoff is the first retry delay, doubling per attempt (<= 0
-	// selects DefaultRetryBackoff).
-	Backoff time.Duration
+// EngineExecutor sends each chunk to an engine backend as a ranged sweep
+// request: the chunk's point slice [Lo, Hi) of the spec's grid, keyed by
+// its request key. Over the engine itself that computes the chunk here;
+// over a cluster.PeerBackend the chunk routes to its key's owner on the
+// one peer protocol, falling back to local compute on any peer failure,
+// so which node computed a chunk never changes its bytes. Chunks that
+// were not peer-served count in the context registry's
+// jobs/chunks_computed, as LocalExecutor's do.
+type EngineExecutor struct {
+	// Backend serves the chunk requests (required).
+	Backend engine.Backend
+	// Workers bounds the per-chunk worker pool where the chunk computes
+	// locally (<= 0 selects GOMAXPROCS); a peer computes at its own bound.
+	Workers int
 
 	stats execStats
 }
 
-// Execute tries the inner executor up to Attempts times. Served counts
-// chunks rescued by a retry (succeeded on a later attempt); first-try
-// successes pass through uncounted, keeping the layer's stats a pure
-// measure of its own contribution.
-func (e *RetryExecutor) Execute(ctx context.Context, spec Spec, chunk Chunk) (*dataset.Dataset, error) {
+// Execute evaluates the chunk as a ranged sweep request. The range is
+// the chunk's place in the spec's partition: par.Ranges blocks are all
+// spec.Chunk points long but the last.
+func (e *EngineExecutor) Execute(ctx context.Context, spec Spec, chunk Chunk) (*dataset.Dataset, error) {
 	e.stats.chunks.Add(1)
-	attempts := e.Attempts
-	if attempts <= 0 {
-		attempts = DefaultRetryAttempts
-	}
-	backoff := e.Backoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	var last error
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			obs.From(ctx).Counter("jobs/retries").Add(1)
-			if err := sleep(ctx, backoff); err != nil {
-				return nil, err
-			}
-			backoff *= 2
-		}
-		ds, err := e.Next.Execute(ctx, spec, chunk)
-		if err == nil {
-			if try > 0 {
-				e.stats.served.Add(1)
-			}
-			return ds, nil
-		}
-		last = err
+	spec = spec.normalized()
+	lo := chunk.Index * spec.Chunk
+	resp, err := e.Backend.Handle(ctx, engine.Request{
+		Kind:    engine.KindSweep,
+		Config:  spec.Base,
+		Grid:    spec.Grid,
+		Lo:      lo,
+		Hi:      lo + len(chunk.Points),
+		Workers: e.Workers,
+	})
+	if err != nil {
 		e.stats.errors.Add(1)
-		if !retryable(err) {
-			break
-		}
+		return nil, err
 	}
-	return nil, last
+	e.stats.served.Add(1)
+	if !resp.Peer {
+		obs.From(ctx).Counter("jobs/chunks_computed").Add(1)
+	}
+	return resp.Dataset, nil
 }
 
 // Stats reports the layer's lifetime counters.
-func (e *RetryExecutor) Stats() ExecutorStats { return e.stats.snapshot("retry") }
-
-// retryable reports whether the error class can plausibly be cured by
-// trying again.
-func retryable(err error) bool {
-	switch nwerr.ClassOf(err) {
-	case nwerr.ClassInternal, nwerr.ClassOverload:
-		return true
-	}
-	return false
-}
-
-// sleep waits for d or until ctx is done, whichever is first.
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return nwerr.Canceled(fmt.Errorf("jobs: retry backoff interrupted: %w", ctx.Err()))
-	case <-t.C:
-		return nil
-	}
-}
-
-// ServeChunk is the serving side of the chunk protocol: it rebuilds the
-// job spec from the wire form, re-derives the deterministic point
-// partition exactly as the submitting runner did, evaluates the one
-// requested chunk locally and returns the chunk's content-addressed key
-// with the dataset. cmd/nwserve wires it into cluster.ChunkHandler; it
-// lives here so the cluster layer never needs to import jobs.
-func ServeChunk(ctx context.Context, workers int, req engine.ChunkRequest) (string, *dataset.Dataset, error) {
-	spec := Spec{Base: req.Config, Grid: req.Grid, Chunk: req.Chunk}.normalized()
-	if err := spec.validate(); err != nil {
-		return "", nil, err
-	}
-	points := spec.Grid.Points(spec.Base)
-	if len(points) == 0 {
-		return "", nil, nwerr.Invalidf("jobs: chunk request grid produced no valid design points")
-	}
-	ranges := par.Ranges(len(points), spec.Chunk)
-	if req.Index < 0 || req.Index >= len(ranges) {
-		return "", nil, nwerr.Invalidf("jobs: chunk index %d outside the %d-chunk partition", req.Index, len(ranges))
-	}
-	rg := ranges[req.Index]
-	exec := LocalExecutor{Workers: workers}
-	ds, err := exec.Execute(ctx, spec, Chunk{Index: req.Index, Points: points[rg.Lo:rg.Hi]})
-	if err != nil {
-		return "", nil, err
-	}
-	obs.From(ctx).Counter("jobs/peer_chunks_served").Add(1)
-	return spec.ChunkKey(req.Index), ds, nil
-}
+func (e *EngineExecutor) Stats() ExecutorStats { return e.stats.snapshot("engine") }

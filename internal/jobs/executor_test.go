@@ -3,10 +3,7 @@ package jobs
 import (
 	"context"
 	"testing"
-	"time"
 
-	"nwdec/internal/dataset"
-	"nwdec/internal/engine"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 	"nwdec/internal/par"
@@ -78,149 +75,49 @@ func TestLocalExecutor(t *testing.T) {
 	}
 }
 
-// scriptedExec fails its first fails calls with err, then delegates to a
-// LocalExecutor.
-type scriptedExec struct {
-	fails int
-	err   error
-	calls int
-	local LocalExecutor
-}
-
-func (s *scriptedExec) Execute(ctx context.Context, spec Spec, chunk Chunk) (*dataset.Dataset, error) {
-	s.calls++
-	if s.calls <= s.fails {
-		return nil, s.err
-	}
-	return s.local.Execute(ctx, spec, chunk)
-}
-
-func (s *scriptedExec) Stats() ExecutorStats { return ExecutorStats{Name: "scripted"} }
-
-// TestRetryExecutorRecovers pins the retry layer's rescue path: an inner
-// executor that fails twice with an Internal-class error succeeds on the
-// third attempt, the retries counter records both waits, and Served
-// counts the rescued chunk.
-func TestRetryExecutorRecovers(t *testing.T) {
-	spec := testSpec()
-	inner := &scriptedExec{fails: 2, err: nwerr.Internalf("flaky peer")}
-	exec := &RetryExecutor{Next: inner, Backoff: time.Millisecond}
+// TestEngineExecutorRoutes pins the engine executor over a two-node
+// fleet: every chunk of the spec comes back byte-identical to a
+// LocalExecutor evaluation whether the peer or this node computed it, and
+// jobs/chunks_computed counts exactly the chunks that were not
+// peer-served.
+func TestEngineExecutorRoutes(t *testing.T) {
+	spec := fleetSpec()
+	srvB, regB := peerServer(t)
+	defer srvB.Close()
+	exec, pb := fleetExecutor(t, map[string]string{"b": srvB.URL})
 	reg := obs.New(nil)
-	ds, err := exec.Execute(obs.Into(context.Background(), reg), spec, chunkOf(t, spec, 0))
-	if err != nil {
-		t.Fatal(err)
+	ctx := obs.Into(context.Background(), reg)
+
+	n := len(spec.Grid.Points(spec.Base))
+	for i := 0; i < n; i++ {
+		ds, err := exec.Execute(ctx, spec, chunkOf(t, spec, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ds.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(localJSON(t, spec, i)) {
+			t.Errorf("chunk %d differs from local evaluation", i)
+		}
 	}
-	got, err := ds.JSON()
-	if err != nil {
-		t.Fatal(err)
+	peer := regB.Counter("engine/computes").Value()
+	local := reg.Counter("jobs/chunks_computed").Value()
+	if peer == 0 || local == 0 {
+		t.Errorf("chunks computed: peer %d, local %d; want both > 0", peer, local)
 	}
-	if string(got) != string(localJSON(t, spec, 0)) {
-		t.Error("retried dataset differs from local evaluation")
+	if ps := pb.Stats(); ps.Served != peer || local+peer != int64(n) {
+		t.Errorf("peer-served %d, peer computed %d, local %d; want peer-served = peer computed and %d in all",
+			ps.Served, peer, local, n)
 	}
-	if inner.calls != 3 {
-		t.Errorf("inner called %d times, want 3", inner.calls)
-	}
-	if n := reg.Counter("jobs/retries").Value(); n != 2 {
-		t.Errorf("jobs/retries = %d, want 2", n)
+	// A chunk past the end of the partition is an Invalid-class failure
+	// of that chunk, not a fallback.
+	if _, err := exec.Execute(ctx, spec, Chunk{Index: n, Points: make([]sweep.Point, 1)}); !nwerr.IsInvalid(err) {
+		t.Errorf("chunk past the grid: err = %v, want Invalid-class", err)
 	}
 	st := exec.Stats()
-	if st.Chunks != 1 || st.Served != 1 || st.Errors != 2 {
-		t.Errorf("stats = %+v, want chunks=1 served=1 errors=2", st)
-	}
-}
-
-// TestRetryExecutorGivesUp pins the class-aware give-up rules: Invalid,
-// NotFound and Canceled failures surface after a single attempt (a retry
-// cannot cure them), while Internal failures exhaust the attempt bound.
-func TestRetryExecutorGivesUp(t *testing.T) {
-	spec := testSpec()
-	chunk := chunkOf(t, spec, 0)
-	for _, tc := range []struct {
-		name  string
-		err   error
-		calls int
-	}{
-		{"invalid", nwerr.Invalidf("bad request"), 1},
-		{"notfound", nwerr.NotFoundf("no such thing"), 1},
-		{"canceled", nwerr.Canceled(context.Canceled), 1},
-		{"internal", nwerr.Internalf("boom"), DefaultRetryAttempts},
-	} {
-		inner := &scriptedExec{fails: 1 << 20, err: tc.err}
-		exec := &RetryExecutor{Next: inner, Backoff: time.Millisecond}
-		_, err := exec.Execute(context.Background(), spec, chunk)
-		if nwerr.ClassOf(err) != nwerr.ClassOf(tc.err) {
-			t.Errorf("%s: error class %v, want %v", tc.name, nwerr.ClassOf(err), nwerr.ClassOf(tc.err))
-		}
-		if inner.calls != tc.calls {
-			t.Errorf("%s: inner called %d times, want %d", tc.name, inner.calls, tc.calls)
-		}
-		if st := exec.Stats(); st.Served != 0 {
-			t.Errorf("%s: served = %d, want 0", tc.name, st.Served)
-		}
-	}
-}
-
-// TestServeChunk pins the serving side of the chunk protocol: a wire
-// request rebuilds the same partition the submitter derived, the
-// returned key is the chunk's content address, the dataset matches a
-// local evaluation, and out-of-range or unusable requests are
-// Invalid-class.
-func TestServeChunk(t *testing.T) {
-	spec := testSpec().normalized()
-	req := engine.ChunkRequest{Config: spec.Base, Grid: spec.Grid, Chunk: spec.Chunk, Index: 1}
-	reg := obs.New(nil)
-	key, ds, err := ServeChunk(obs.Into(context.Background(), reg), 0, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := spec.ChunkKey(1); key != want {
-		t.Errorf("key = %s, want %s", key, want)
-	}
-	got, err := ds.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(localJSON(t, spec, 1)) {
-		t.Error("served chunk differs from local evaluation")
-	}
-	if n := reg.Counter("jobs/peer_chunks_served").Value(); n != 1 {
-		t.Errorf("jobs/peer_chunks_served = %d, want 1", n)
-	}
-	if n := reg.Counter("jobs/chunks_computed").Value(); n != 1 {
-		t.Errorf("jobs/chunks_computed = %d, want 1 (the serving node computed it)", n)
-	}
-
-	bad := req
-	bad.Index = 99
-	if _, _, err := ServeChunk(context.Background(), 0, bad); !nwerr.IsInvalid(err) {
-		t.Errorf("out-of-range index: err = %v, want Invalid-class", err)
-	}
-	bad = req
-	bad.Index = -1
-	if _, _, err := ServeChunk(context.Background(), 0, bad); !nwerr.IsInvalid(err) {
-		t.Errorf("negative index: err = %v, want Invalid-class", err)
-	}
-	if _, _, err := ServeChunk(context.Background(), 0, engine.ChunkRequest{Grid: sweep.Grid{Lengths: []int{3}}}); !nwerr.IsInvalid(err) {
-		t.Errorf("empty grid: err = %v, want Invalid-class", err)
-	}
-}
-
-// TestChunkKeyStability pins the routing identity: chunk keys are stable
-// across processes (pure functions of spec + index), distinct per index,
-// and independent of worker counts — the property the whole fleet's
-// ownership agreement rests on.
-func TestChunkKeyStability(t *testing.T) {
-	a := testSpec().ChunkKey(0)
-	b := testSpec().ChunkKey(0)
-	if a != b {
-		t.Error("equal specs derive different chunk keys")
-	}
-	if testSpec().ChunkKey(1) == a {
-		t.Error("distinct indices derive the same chunk key")
-	}
-	other := testSpec()
-	other.Chunk = 3
-	if other.ChunkKey(0) == a {
-		t.Error("distinct partitions derive the same chunk key")
+	if st.Name != "engine" || st.Chunks != int64(n+1) || st.Served != int64(n) || st.Errors != 1 {
+		t.Errorf("stats = %+v, want engine %d/%d/1", st, n+1, n)
 	}
 }

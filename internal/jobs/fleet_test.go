@@ -2,10 +2,14 @@ package jobs
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"nwdec/internal/cluster"
 	"nwdec/internal/code"
+	"nwdec/internal/engine"
 	"nwdec/internal/obs"
 	"nwdec/internal/sweep"
 )
@@ -23,6 +27,38 @@ func fleetSpec() Spec {
 	}
 }
 
+// peerServer starts an httptest node serving the peer protocol over its
+// own engine, instrumented with its own obs registry so tests can count
+// the chunks it computed (engine/computes).
+func peerServer(t *testing.T) (*httptest.Server, *obs.Registry) {
+	t.Helper()
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New(nil)
+	h := cluster.PeerHandler(eng)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(obs.Into(r.Context(), reg)))
+	}))
+	return srv, reg
+}
+
+// fleetExecutor builds ring node "a": an engine executor over a peer
+// backend routing to peers, with a fresh local engine as the fallback.
+func fleetExecutor(t *testing.T, peers map[string]string) (*EngineExecutor, *cluster.PeerBackend) {
+	t.Helper()
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := cluster.NewPeerBackend(eng, cluster.Options{Self: "a", Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &EngineExecutor{Backend: pb}, pb
+}
+
 // TestFleetDistributesChunks is the acceptance test of the distributed
 // executor: a three-node in-process fleet (submitting node a plus chunk
 // servers b and c) completes a job with every node computing at least one
@@ -31,22 +67,13 @@ func fleetSpec() Spec {
 func TestFleetDistributesChunks(t *testing.T) {
 	spec := fleetSpec()
 	want := sweepJSON(t, spec)
-	srvB, regB := chunkServer(t, "b")
+	srvB, regB := peerServer(t)
 	defer srvB.Close()
-	srvC, regC := chunkServer(t, "c")
+	srvC, regC := peerServer(t)
 	defer srvC.Close()
 
-	ring, err := NewRingExecutor(&LocalExecutor{}, RingOptions{
-		Self:  "a",
-		Peers: map[string]string{"b": srvB.URL, "c": srvC.URL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(NewMemoryStore(), Options{
-		Executor: &RetryExecutor{Next: ring, Backoff: time.Millisecond},
-		Node:     "a",
-	})
+	exec, _ := fleetExecutor(t, map[string]string{"b": srvB.URL, "c": srvC.URL})
+	r := NewRunner(NewMemoryStore(), Options{Executor: exec, Node: "a"})
 	defer r.Close()
 
 	regA := obs.New(nil)
@@ -64,19 +91,19 @@ func TestFleetDistributesChunks(t *testing.T) {
 	}
 
 	a := regA.Counter("jobs/chunks_computed").Value()
-	b := regB.Counter("jobs/chunks_computed").Value()
-	c := regC.Counter("jobs/chunks_computed").Value()
+	b := regB.Counter("engine/computes").Value()
+	c := regC.Counter("engine/computes").Value()
 	if a == 0 || b == 0 || c == 0 {
 		t.Errorf("chunks computed per node = a:%d b:%d c:%d, want every node > 0", a, b, c)
 	}
 	if total := a + b + c; total != int64(st.Chunks) {
 		t.Errorf("fleet computed %d chunks total, want exactly %d (each chunk computed once)", total, st.Chunks)
 	}
-	if served := regA.Counter("jobs/peer_served").Value(); served != b+c {
-		t.Errorf("jobs/peer_served = %d, want %d (sum of peer computes)", served, b+c)
+	if served := regA.Counter("cluster/peer/served").Value(); served != b+c {
+		t.Errorf("cluster/peer/served = %d, want %d (sum of peer computes)", served, b+c)
 	}
-	if n := regA.Counter("jobs/peer_fallback_local").Value(); n != 0 {
-		t.Errorf("jobs/peer_fallback_local = %d, want 0 on a healthy fleet", n)
+	if n := regA.Counter("cluster/peer/fallback_local").Value(); n != 0 {
+		t.Errorf("cluster/peer/fallback_local = %d, want 0 on a healthy fleet", n)
 	}
 
 	page, err := r.Results(st.ID, 0, 0)
@@ -99,22 +126,13 @@ func TestFleetDistributesChunks(t *testing.T) {
 func TestFleetDeadNodeFailsOver(t *testing.T) {
 	spec := fleetSpec()
 	want := sweepJSON(t, spec)
-	srvB, regB := chunkServer(t, "b")
+	srvB, regB := peerServer(t)
 	defer srvB.Close()
-	srvC, regC := chunkServer(t, "c")
+	srvC, regC := peerServer(t)
 	defer srvC.Close()
 
-	ring, err := NewRingExecutor(&LocalExecutor{}, RingOptions{
-		Self:  "a",
-		Peers: map[string]string{"b": srvB.URL, "c": srvC.URL},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(NewMemoryStore(), Options{
-		Executor: &RetryExecutor{Next: ring, Backoff: time.Millisecond},
-		Node:     "a",
-	})
+	exec, _ := fleetExecutor(t, map[string]string{"b": srvB.URL, "c": srvC.URL})
+	r := NewRunner(NewMemoryStore(), Options{Executor: exec, Node: "a"})
 	defer r.Close()
 
 	regA := obs.New(nil)
@@ -128,7 +146,7 @@ func TestFleetDeadNodeFailsOver(t *testing.T) {
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		for regC.Counter("jobs/chunks_computed").Value() == 0 {
+		for regC.Counter("engine/computes").Value() == 0 {
 			select {
 			case <-r.ctx.Done():
 				return
@@ -147,12 +165,12 @@ func TestFleetDeadNodeFailsOver(t *testing.T) {
 	if st.State != StateComplete {
 		t.Fatalf("state = %s (%s), want complete despite the dead node", st.State, st.Error)
 	}
-	if n := regA.Counter("jobs/peer_fallback_local").Value(); n == 0 {
-		t.Error("jobs/peer_fallback_local = 0, want > 0 (dead node's chunks re-executed locally)")
+	if n := regA.Counter("cluster/peer/fallback_local").Value(); n == 0 {
+		t.Error("cluster/peer/fallback_local = 0, want > 0 (dead node's chunks re-executed locally)")
 	}
 	a := regA.Counter("jobs/chunks_computed").Value()
-	b := regB.Counter("jobs/chunks_computed").Value()
-	c := regC.Counter("jobs/chunks_computed").Value()
+	b := regB.Counter("engine/computes").Value()
+	c := regC.Counter("engine/computes").Value()
 	if a+b+c < int64(st.Chunks) {
 		t.Errorf("fleet computed %d chunks across nodes, want at least %d", a+b+c, st.Chunks)
 	}

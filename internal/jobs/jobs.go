@@ -83,26 +83,6 @@ func (s Spec) ID() string {
 	}{s.Key(), s.Chunk})
 }
 
-// ChunkKey derives the content address of one chunk of the job: a
-// fingerprint of (job id, chunk index), the same fingerprint chain the
-// job id itself extends. It is what the ring executor routes on — every
-// node derives the same key for the same chunk, so the whole fleet
-// agrees on each chunk's owner — and what the chunk protocol echoes
-// back so a client can reject a response computed for the wrong chunk.
-func (s Spec) ChunkKey(idx int) string {
-	return dataset.Fingerprint(struct {
-		Job   string
-		Index int
-	}{s.ID(), idx})
-}
-
-// chunkWire renders the identity fields of the spec plus one chunk index
-// as the engine's chunk wire form — the body of a POST /peer/chunk.
-func (s Spec) chunkWire(idx int) engine.ChunkRequest {
-	s = s.normalized()
-	return engine.ChunkRequest{Config: s.Base, Grid: s.Grid, Chunk: s.Chunk, Index: idx}
-}
-
 // validate rejects specs that cannot be persisted and resumed.
 func (s Spec) validate() error {
 	if s.Base.Model != nil {

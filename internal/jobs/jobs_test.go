@@ -264,6 +264,10 @@ func TestSubmitIdempotent(t *testing.T) {
 	if spec.ID() != testSpec().ID() {
 		t.Fatal("equal specs derive different ids")
 	}
+	// Pinned across versions: a fresh process resumes checkpoints by id.
+	if id := (Spec{}).ID(); id != "j-4e7a467e754641e0" {
+		t.Errorf("zero spec id = %s, want j-4e7a467e754641e0", id)
+	}
 	other := testSpec()
 	other.Chunk = 3
 	if spec.ID() == other.ID() {

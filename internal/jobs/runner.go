@@ -22,9 +22,10 @@ type Options struct {
 	// worker count and Workers never enters the job identity.
 	Workers int
 	// Executor evaluates chunks (nil selects a LocalExecutor over
-	// Workers). Distribution is an executor concern: a RingExecutor here
-	// routes chunks across the fleet while the Runner's checkpointing,
-	// lifecycle and status semantics stay exactly as they are locally.
+	// Workers). Distribution is an executor concern: an EngineExecutor
+	// over a cluster.PeerBackend routes chunks across the fleet while the
+	// Runner's checkpointing, lifecycle and status semantics stay exactly
+	// as they are locally.
 	Executor Executor
 	// Node is this process's identity in chunk leases ("" = "local").
 	// Like Workers it is an execution detail, never part of job identity.

@@ -104,11 +104,11 @@ func DefaultConfig(module string) *Config {
 			// the sweep primitives; nothing below it may reach back up.
 			{Pkg: "internal/sweep", Deny: []string{"internal/jobs"},
 				Why: "jobs partitions and checkpoints sweeps from above; a reverse edge would make the layering circular"},
-			// The ring executor routes job chunks over the cluster's ring
-			// and chunk protocol; the cluster side takes a ChunkFunc so it
-			// never needs jobs types (DESIGN §15).
+			// Job chunks reach the cluster only as engine requests: the
+			// job layer sits above the routing layer, which never needs
+			// jobs types (DESIGN §15).
 			{Pkg: "internal/cluster", Deny: []string{"internal/jobs"},
-				Why: "jobs composes its ring executor over the cluster; a reverse edge would make the layering circular"},
+				Why: "jobs routes its chunks through the cluster as engine requests; a reverse edge would make the layering circular"},
 			// Observability instruments the pipeline from below; it must
 			// never depend on what it measures (DESIGN §9).
 			{Pkg: "internal/obs", Deny: []string{"internal/engine", "internal/experiments", "internal/jobs", "internal/par", "internal/cluster"},

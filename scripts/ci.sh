@@ -21,7 +21,11 @@
 #   test   5. go test -race -count=1 ./...  — full suite under the race
 #             detector, cache disabled; this is what keeps internal/par,
 #             the shared generator cache and the jobs runner race-clean
-#             and exercises the serial-vs-parallel determinism tests
+#             and exercises the serial-vs-parallel determinism tests. It
+#             includes cmd/nwserve's TestPeerSmoke: a two-node in-process
+#             fleet asserting X-Cache miss-peer then hit-peer through the
+#             node that does not own a key, and a job through that node
+#             spread over both engines with byte-identical output
 #          6. coverage gate — go run ./scripts/covergate enforces
 #             per-package statement-coverage floors over
 #             internal/{par,code,dataset,obs,engine,jobs,cluster,nwerr,
@@ -39,11 +43,7 @@
 #             ephemeral port, exercises one synchronous request plus the
 #             full async job lifecycle (submit, poll, results) against
 #             itself and shuts down gracefully
-#         10. peer smoke — nwserve -peer-smoke starts a two-node
-#             in-process fleet, fetches the same experiment twice through
-#             the node that does not own its key, and asserts X-Cache:
-#             miss-peer then hit-peer
-#         11. jobs kill/resume smoke — submits a multi-chunk sweep job
+#         10. jobs kill/resume smoke — submits a multi-chunk sweep job
 #             through nwsweep -job, SIGKILLs it mid-run, resumes from the
 #             checkpoint store and asserts the final dataset is
 #             byte-identical to an uninterrupted run; a second resume of
@@ -51,16 +51,16 @@
 #             by the computed=0 accounting line and by the obs
 #             jobs/chunks_* counters. The job store is preserved under
 #             ci-artifacts/job-smoke/ when the smoke fails.
-#         12. distributed jobs smoke — starts two nwserve chunk peers,
-#             runs the same sweep job through nwsweep -peers so chunks
-#             route over the consistent-hash ring, SIGKILLs one peer
+#         11. distributed jobs smoke — starts two nwserve peers, runs
+#             the same sweep job through nwsweep -peers so chunks route
+#             over the consistent-hash ring, SIGKILLs one peer
 #             mid-job and asserts the job still completes with output
 #             byte-identical to a single-node reference run and with a
 #             nonzero peer_served count in the ring accounting line. The
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
-#         13. fuzz smoke — 10s of real fuzzing per internal/code fuzz
-#             target, auto-discovered from the test files
+#         12. fuzz smoke — 10s of real fuzzing per fuzz target of every
+#             package under internal/, auto-discovered from the test files
 #
 # Every stage ends with a per-step wall-time table (rendered by
 # scripts/citimes through internal/dataset). Exits non-zero on the first
@@ -164,10 +164,6 @@ run_metrics_smoke() {
 
 run_server_smoke() {
 	go run ./cmd/nwserve -smoke
-}
-
-run_peer_smoke() {
-	go run ./cmd/nwserve -peer-smoke
 }
 
 # jobs_smoke_body is the kill/resume equivalence check. It runs inside
@@ -402,14 +398,19 @@ run_dist_smoke() {
 }
 
 run_fuzz_smoke() {
-	targets="$(grep -hEo '^func Fuzz[A-Za-z0-9_]*' internal/code/*_test.go | awk '{print $2}' | sort)"
-	if [ -z "$targets" ]; then
-		echo "fuzz smoke: no Fuzz targets found in internal/code" >&2
+	# One dir:target entry per Fuzz function of every package under
+	# internal/; go test -fuzz takes one package and one target per run.
+	found="$(grep -Eo '^func Fuzz[A-Za-z0-9_]*' -r --include='*_test.go' internal |
+		sed 's|/[^/]*_test.go:func |:|' | sort)"
+	if [ -z "$found" ]; then
+		echo "fuzz smoke: no Fuzz targets found under internal/" >&2
 		return 1
 	fi
-	for target in $targets; do
-		echo "-- $target"
-		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s ./internal/code
+	for entry in $found; do
+		dir="${entry%%:*}"
+		target="${entry#*:}"
+		echo "-- $dir $target"
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s "./$dir"
 	done
 }
 
@@ -429,7 +430,6 @@ if [ "$stage" = "bench" ] || [ "$stage" = "all" ]; then
 	step "bench regression" run_bench
 	step "metrics smoke" run_metrics_smoke
 	step "server smoke" run_server_smoke
-	step "peer smoke" run_peer_smoke
 	step "jobs kill/resume smoke" run_jobs_smoke
 	step "distributed jobs smoke" run_dist_smoke
 	step "fuzz smoke" run_fuzz_smoke
