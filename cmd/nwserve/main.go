@@ -9,7 +9,7 @@
 //
 //	nwserve [-addr HOST:PORT] [-cache-entries N] [-cache-cost C]
 //	        [-inflight N] [-shed] [-node-id ID] [-peers ID=URL,...]
-//	        [-job-store DIR] [-job-gc D] [-workers W] [-timeout D] [-smoke]
+//	        [-job-store DIR] [-job-gc D] [-workers W] [-timeout D]
 //	        [-metrics text|json|csv|md] [-metrics-out FILE] [-pprof DIR]
 //
 // Endpoints (JSON):
@@ -62,9 +62,7 @@
 // internal/jobs and DESIGN §15.
 //
 // The server shuts down gracefully when its context is cancelled: on
-// SIGINT/SIGTERM or when -timeout elapses. -smoke starts the server on a
-// loopback port, issues one self-request, verifies the response and
-// exits — the CI check of the real binary's listener and shutdown.
+// SIGINT/SIGTERM or when -timeout elapses.
 package main
 
 import (
@@ -72,13 +70,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -105,7 +101,6 @@ func main() {
 		peersFlag    = flag.String("peers", "", "other fleet nodes as ID=URL,ID=URL (enables cluster routing)")
 		jobStore     = flag.String("job-store", "", "checkpoint directory for async jobs (empty = in-memory, no kill/restart durability)")
 		jobGC        = flag.Duration("job-gc", 0, "collect terminal jobs untouched for this long (0 = never; needs -job-store)")
-		smoke        = flag.Bool("smoke", false, "start on a loopback port, self-request once, verify and exit")
 	)
 	c := cli.Register("nwserve", "json")
 	flag.Parse()
@@ -152,11 +147,7 @@ func main() {
 		}
 		go gcLoop(ctx, srv.runner, *jobGC)
 	}
-	listenAddr := *addr
-	if *smoke {
-		listenAddr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		c.Exit(err)
 	}
@@ -168,20 +159,6 @@ func main() {
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "nwserve: listening on http://%s\n", ln.Addr())
-
-	if *smoke {
-		if err := smokeTest(ctx, ln.Addr().String()); err != nil {
-			if serr := shutdown(hs, served); serr != nil {
-				fmt.Fprintf(os.Stderr, "nwserve: %v\n", serr)
-			}
-			c.Exit(err)
-		}
-		if err := shutdown(hs, served); err != nil {
-			c.Exit(err)
-		}
-		fmt.Fprintln(os.Stderr, "nwserve: smoke ok (request served, graceful shutdown)")
-		return
-	}
 
 	select {
 	case <-ctx.Done():
@@ -236,190 +213,6 @@ func shutdown(hs *http.Server, served chan error) error {
 		return err
 	}
 	return nil
-}
-
-// smokeTest issues one experiment request against the just-started
-// server and verifies a 200 with a parseable dataset body plus the
-// engine's response headers, then exercises the async job path: submit a
-// small grid job, poll its status to completion, and fetch the assembled
-// results.
-func smokeTest(ctx context.Context, addr string) error {
-	name, cache, err := fetchExperiment(ctx, "http://"+addr, "fig5")
-	if err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	if name != "fig5" {
-		return fmt.Errorf("smoke: dataset name %q, want fig5", name)
-	}
-	if cache != "hit" && cache != "miss" {
-		return fmt.Errorf("smoke: X-Cache %q, want hit or miss", cache)
-	}
-	if err := jobSmoke(ctx, "http://"+addr); err != nil {
-		return fmt.Errorf("smoke: %w", err)
-	}
-	return nil
-}
-
-// jobSmoke drives one tiny job through POST /v1/jobs, the status poll
-// and GET /results, verifying the 202 → complete → dataset lifecycle.
-func jobSmoke(ctx context.Context, base string) error {
-	rctx, cancel := context.WithTimeout(ctx, 60*time.Second)
-	defer cancel()
-	// code.Type serializes as its enum int (1 = Gray code), matching the
-	// engine wire form.
-	st, data, err := runJob(rctx, base, `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[0.05]},"chunk":1}`)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Name string  `json:"name"`
-		Rows [][]any `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("results body: %w", err)
-	}
-	if doc.Name != "sweep" || len(doc.Rows) == 0 {
-		return fmt.Errorf("results dataset %q with %d rows, want non-empty sweep", doc.Name, len(doc.Rows))
-	}
-	// Terminal jobs are deletable: 204 once, 404 after.
-	for _, round := range []struct {
-		desc string
-		want int
-	}{
-		{"first", http.StatusNoContent},
-		{"second", http.StatusNotFound},
-	} {
-		desc, want := round.desc, round.want
-		del, err := http.NewRequestWithContext(rctx, http.MethodDelete, base+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(del)
-		if err != nil {
-			return err
-		}
-		data, err := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != want {
-			return fmt.Errorf("%s DELETE /v1/jobs/%s: status %d, want %d: %s", desc, st.ID, resp.StatusCode, want, data)
-		}
-	}
-	return nil
-}
-
-// runJob submits a jobs.Spec JSON body through POST /v1/jobs, polls the
-// job's status until it leaves the running state, and returns the final
-// status with the GET /results body of the complete job.
-func runJob(ctx context.Context, base, body string) (jobs.Status, []byte, error) {
-	var st jobs.Status
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", strings.NewReader(body))
-	if err != nil {
-		return st, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return st, nil, err
-	}
-	data, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return st, nil, err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return st, nil, fmt.Errorf("POST /v1/jobs: status %d: %s", resp.StatusCode, data)
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, nil, fmt.Errorf("job status body: %w", err)
-	}
-	for st.State == jobs.StateRunning {
-		time.Sleep(20 * time.Millisecond)
-		get, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+st.ID, nil)
-		if err != nil {
-			return st, nil, err
-		}
-		resp, err := http.DefaultClient.Do(get)
-		if err != nil {
-			return st, nil, err
-		}
-		data, err := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return st, nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return st, nil, fmt.Errorf("GET /v1/jobs/%s: status %d: %s", st.ID, resp.StatusCode, data)
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
-			return st, nil, fmt.Errorf("job status body: %w", err)
-		}
-	}
-	if st.State != jobs.StateComplete {
-		return st, nil, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	get, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+st.ID+"/results", nil)
-	if err != nil {
-		return st, nil, err
-	}
-	resp, err = http.DefaultClient.Do(get)
-	if err != nil {
-		return st, nil, err
-	}
-	data, err = io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return st, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, nil, fmt.Errorf("GET /v1/jobs/%s/results: status %d: %s", st.ID, resp.StatusCode, data)
-	}
-	if got := resp.Header.Get("X-Job-State"); got != string(jobs.StateComplete) {
-		return st, nil, fmt.Errorf("results X-Job-State %q, want complete", got)
-	}
-	return st, data, nil
-}
-
-// fetchExperiment GETs /v1/experiment/{name} from a node and returns the
-// dataset name from the body and the X-Cache header.
-func fetchExperiment(ctx context.Context, base, experiment string) (name, cache string, err error) {
-	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/experiment/"+experiment, nil)
-	if err != nil {
-		return "", "", err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", "", err
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", "", fmt.Errorf("GET %s/v1/experiment/%s: status %d: %s", base, experiment, resp.StatusCode, body)
-	}
-	var doc struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return "", "", fmt.Errorf("response is not dataset JSON: %w", err)
-	}
-	return doc.Name, resp.Header.Get("X-Cache"), nil
 }
 
 // server holds the shared engine behind the HTTP handlers. Public

@@ -1,10 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -15,6 +23,118 @@ import (
 	"nwdec/internal/jobs"
 	"nwdec/internal/sweep"
 )
+
+// runMainEnv, when set to 1, makes the test binary run nwserve's main()
+// on its own arguments instead of the tests, so TestBinary can start the
+// real server as a child process without a separate build.
+const runMainEnv = "NWSERVE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBinary is the real-process check of the listener and the graceful
+// shutdown: the server runs as a child process on an ephemeral loopback
+// port with a disk job store. It serves one experiment (a fresh server's
+// miss), runs a one-point-per-chunk job through submit, poll and
+// results, deletes the job (204, then 404), and on SIGTERM announces the
+// shutdown and exits 0.
+func TestBinary(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The deadline also bounds the server: past it the process is killed,
+	// so a hung shutdown fails the test instead of stalling it.
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, exe, "-addr", "127.0.0.1:0", "-job-store", t.TempDir())
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Reap the server on every exit path; after a clean exit both calls
+	// only report that the process is already gone.
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+		}
+	})
+	lines := bufio.NewScanner(stderr)
+	var log strings.Builder
+	base := ""
+	for base == "" && lines.Scan() {
+		fmt.Fprintln(&log, lines.Text())
+		if addr, ok := strings.CutPrefix(lines.Text(), "nwserve: listening on "); ok {
+			base = addr
+		}
+	}
+	if base == "" {
+		t.Fatalf("server never reported its listen address:\n%s", log.String())
+	}
+
+	name, cache, err := fetchExperiment(ctx, base, "fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name != "fig5" || cache != "miss" {
+		t.Errorf("dataset %q with X-Cache %q, want fig5 with miss", name, cache)
+	}
+
+	// code.Type serializes as its enum int (1 = Gray code).
+	st, data, err := runJob(ctx, base, `{"grid":{"Types":[1],"Lengths":[4],"SigmaTs":[0.05]},"chunk":1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Name string  `json:"name"`
+		Rows [][]any `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("results body: %v", err)
+	}
+	if doc.Name != "sweep" || len(doc.Rows) == 0 {
+		t.Errorf("results dataset %q with %d rows, want a non-empty sweep", doc.Name, len(doc.Rows))
+	}
+	for _, want := range []int{http.StatusNoContent, http.StatusNotFound} {
+		del, err := http.NewRequestWithContext(ctx, http.MethodDelete, base+"/v1/jobs/"+st.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resp.Body.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Errorf("DELETE /v1/jobs/%s: status %d, want %d", st.ID, resp.StatusCode, want)
+		}
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for lines.Scan() {
+		fmt.Fprintln(&log, lines.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("server exit after SIGTERM: %v\n%s", err, log.String())
+	}
+	if !strings.Contains(log.String(), "nwserve: shutting down\n") {
+		t.Errorf("server did not announce the shutdown:\n%s", log.String())
+	}
+}
 
 // computeCount reads an engine's compute-layer request counter.
 func computeCount(eng *engine.Engine) int64 {
@@ -124,4 +244,114 @@ func TestPeerSmoke(t *testing.T) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Error("peered job results differ from a single-node sweep")
 	}
+}
+
+// runJob submits a jobs.Spec JSON body through POST /v1/jobs, polls the
+// job's status until it leaves the running state, and returns the final
+// status with the GET /results body of the complete job.
+func runJob(ctx context.Context, base, body string) (jobs.Status, []byte, error) {
+	var st jobs.Status
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", strings.NewReader(body))
+	if err != nil {
+		return st, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return st, nil, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return st, nil, err
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return st, nil, fmt.Errorf("POST /v1/jobs: status %d: %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return st, nil, fmt.Errorf("job status body: %w", err)
+	}
+	for st.State == jobs.StateRunning {
+		time.Sleep(20 * time.Millisecond)
+		get, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+st.ID, nil)
+		if err != nil {
+			return st, nil, err
+		}
+		resp, err := http.DefaultClient.Do(get)
+		if err != nil {
+			return st, nil, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return st, nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return st, nil, fmt.Errorf("GET /v1/jobs/%s: status %d: %s", st.ID, resp.StatusCode, data)
+		}
+		if err := json.Unmarshal(data, &st); err != nil {
+			return st, nil, fmt.Errorf("job status body: %w", err)
+		}
+	}
+	if st.State != jobs.StateComplete {
+		return st, nil, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	get, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+st.ID+"/results", nil)
+	if err != nil {
+		return st, nil, err
+	}
+	resp, err = http.DefaultClient.Do(get)
+	if err != nil {
+		return st, nil, err
+	}
+	data, err = io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return st, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return st, nil, fmt.Errorf("GET /v1/jobs/%s/results: status %d: %s", st.ID, resp.StatusCode, data)
+	}
+	if got := resp.Header.Get("X-Job-State"); got != string(jobs.StateComplete) {
+		return st, nil, fmt.Errorf("results X-Job-State %q, want complete", got)
+	}
+	return st, data, nil
+}
+
+// fetchExperiment GETs /v1/experiment/{name} from a node and returns the
+// dataset name from the body and the X-Cache header.
+func fetchExperiment(ctx context.Context, base, experiment string) (name, cache string, err error) {
+	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet, base+"/v1/experiment/"+experiment, nil)
+	if err != nil {
+		return "", "", err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return "", "", err
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", "", fmt.Errorf("GET %s/v1/experiment/%s: status %d: %s", base, experiment, resp.StatusCode, body)
+	}
+	var doc struct {
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return "", "", fmt.Errorf("response is not dataset JSON: %w", err)
+	}
+	return doc.Name, resp.Header.Get("X-Cache"), nil
 }

@@ -400,6 +400,25 @@ func TestPeerHandlerStatusMapping(t *testing.T) {
 	}
 }
 
+// TestPeerHandlerRefusesNonWireable: /peer/ sits on every listener, so
+// any client can POST to it. A kind no peer would ever send — here a
+// fabrication, whose mutable result cannot cross the wire — is refused
+// at decode with 400 and never reaches the compute layer.
+func TestPeerHandlerRefusesNonWireable(t *testing.T) {
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	PeerHandler(eng).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PeerPath, strings.NewReader(`{"kind":"fabricate","seed":3}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status = %d, want %d: %s", rec.Code, http.StatusBadRequest, rec.Body)
+	}
+	if c := computeCount(eng); c != 0 {
+		t.Errorf("compute layer ran %d requests, want 0", c)
+	}
+}
+
 // TestPeerBackendOptions: misconfigurations fail construction with
 // Invalid-class errors instead of surfacing later as routing surprises.
 func TestPeerBackendOptions(t *testing.T) {

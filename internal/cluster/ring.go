@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
+	"strconv"
 )
 
 // DefaultVirtualNodes is the ring's default vnode multiplicity. 128
@@ -40,48 +40,35 @@ type point struct {
 // of n nodes joins or leaves — so a rolling restart does not stampede the
 // fleet's caches.
 //
-// A Ring is safe for concurrent use: lookups take a read lock and
-// SetNodes swaps the sorted point slice atomically under the write lock.
+// A Ring is immutable once built, so it is safe for concurrent use
+// without locking; a new membership is a new ring.
 type Ring struct {
-	mu     sync.RWMutex
-	vnodes int
 	nodes  []string
 	points []point
 }
 
 // NewRing builds a ring over the given nodes with vnodes virtual points
-// per node (0 selects DefaultVirtualNodes). Duplicate node IDs are
-// rejected: two nodes claiming the same points would make ownership
+// per node (0 selects DefaultVirtualNodes). Empty and duplicate node IDs
+// are rejected: two nodes claiming the same points would make ownership
 // depend on sort order instead of membership.
 func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	r := &Ring{vnodes: vnodes}
-	if err := r.SetNodes(nodes); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// SetNodes replaces the membership. The ring is rebuilt from scratch —
-// consistent hashing makes the rebuild stable: points of surviving nodes
-// do not move.
-func (r *Ring) SetNodes(nodes []string) error {
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
 		if n == "" {
-			return fmt.Errorf("cluster: empty node ID")
+			return nil, fmt.Errorf("cluster: empty node ID")
 		}
 		if seen[n] {
-			return fmt.Errorf("cluster: duplicate node ID %q", n)
+			return nil, fmt.Errorf("cluster: duplicate node ID %q", n)
 		}
 		seen[n] = true
 	}
-	points := make([]point, 0, len(nodes)*r.vnodes)
+	points := make([]point, 0, len(nodes)*vnodes)
 	for _, n := range nodes {
-		for v := 0; v < r.vnodes; v++ {
-			points = append(points, point{hash: hash64(n + "#" + itoa(v)), node: n})
+		for v := 0; v < vnodes; v++ {
+			points = append(points, point{hash: hash64(n + "#" + strconv.Itoa(v)), node: n})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool {
@@ -94,24 +81,17 @@ func (r *Ring) SetNodes(nodes []string) error {
 	})
 	sorted := append([]string(nil), nodes...)
 	sort.Strings(sorted)
-
-	r.mu.Lock()
-	r.nodes = sorted
-	r.points = points
-	r.mu.Unlock()
-	return nil
+	return &Ring{nodes: sorted, points: points}, nil
 }
 
 // Owner returns the node owning key: the first virtual point at or after
 // the key's hash, wrapping around the ring. An empty ring owns nothing
 // and returns "".
 func (r *Ring) Owner(key string) string {
-	h := hash64(key)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return ""
 	}
+	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -121,16 +101,7 @@ func (r *Ring) Owner(key string) string {
 
 // Nodes returns the membership in sorted order.
 func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]string(nil), r.nodes...)
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
 }
 
 // hash64 is the ring's position hash: FNV-1a, chosen because it is
@@ -150,20 +121,4 @@ func hash64(s string) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// itoa is strconv.Itoa for the small non-negative vnode indices, inlined
-// to keep the hot ring-build loop allocation-light.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

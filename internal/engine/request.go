@@ -58,43 +58,46 @@ func (k Kind) known() bool {
 // Request is one unit of work submitted to the engine. A request is fully
 // described by its value: two requests with equal identity fields compute
 // identical results (the determinism invariant of the pipeline), which is
-// what makes content-addressed caching sound.
+// what makes content-addressed caching sound. The JSON form, under the
+// field tags, is the cluster peer protocol's wire form (see MarshalWire).
 type Request struct {
 	// Kind selects the entry point.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// Config is the platform configuration (all kinds; KindCodes reads
 	// only CodeType, Base and CodeLength from it).
-	Config core.Config
+	Config core.Config `json:"config"`
 	// Experiment is the registry name for KindExperiment.
-	Experiment string
+	Experiment string `json:"experiment,omitempty"`
 	// Grid is the parameter grid for KindSweep (zero = default grid).
-	Grid sweep.Grid
+	Grid sweep.Grid `json:"grid"`
 	// Objective ranks designs for KindOptimize.
-	Objective core.Objective
+	Objective core.Objective `json:"objective"`
 	// Types are the code families for KindOptimize (nil = all).
-	Types []code.Type
+	Types []code.Type `json:"types,omitempty"`
 	// Lengths are the code lengths for KindOptimize (nil = 4..12 even).
-	Lengths []int
+	Lengths []int `json:"lengths,omitempty"`
 	// Count is the number of words to emit for KindCodes (0 = the whole
 	// space, capped at 64 — the historical nwcodes default).
-	Count int
+	Count int `json:"count,omitempty"`
 	// Seed drives the stochastic kinds (KindMonteCarlo, KindExperiment,
 	// KindFabricate).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Trials is the repetition count for KindMonteCarlo and the
 	// Monte-Carlo experiments (KindExperiment; 0 = the runner default).
-	Trials int
+	Trials int `json:"trials,omitempty"`
 	// Lo and Hi select the point slice [Lo, Hi) of Grid.Points for
 	// KindSweep (Hi == 0 = the whole grid). A ranged sweep is one job
 	// chunk, so its key is the chunk's identity. Engine.Do hands ranged
 	// requests straight to the compute layer: like the chunks they are,
 	// they are never cached, deduplicated or admitted.
-	Lo, Hi int
+	Lo int `json:"lo,omitempty"`
+	Hi int `json:"hi,omitempty"`
 	// Workers bounds the worker pool (0 = GOMAXPROCS). It is an
 	// execution detail: results are bit-identical at every worker count,
 	// so Workers is excluded from the cache key — a request computed at
-	// one worker count serves all others.
-	Workers int
+	// one worker count serves all others. For the same reason it never
+	// crosses the wire: the owning node computes with its own bound.
+	Workers int `json:"-"`
 
 	// key memoizes Key(). The engine facade fills it once per Do call so
 	// the backend layers below share one fingerprint computation.

@@ -3,32 +3,8 @@ package engine
 import (
 	"encoding/json"
 
-	"nwdec/internal/code"
-	"nwdec/internal/core"
 	"nwdec/internal/nwerr"
-	"nwdec/internal/sweep"
 )
-
-// wireRequest is the JSON interchange form of a Request for the cluster
-// peer protocol. It mirrors the identity fields exactly — both ends of
-// the protocol run the same binary, so the encoding only needs to be a
-// faithful round trip, not a versioned format. Workers is deliberately
-// absent: it is an execution detail excluded from the content address,
-// and the owning node computes with its own worker bound.
-type wireRequest struct {
-	Kind       Kind           `json:"kind"`
-	Config     core.Config    `json:"config"`
-	Experiment string         `json:"experiment,omitempty"`
-	Grid       sweep.Grid     `json:"grid"`
-	Objective  core.Objective `json:"objective"`
-	Types      []code.Type    `json:"types,omitempty"`
-	Lengths    []int          `json:"lengths,omitempty"`
-	Count      int            `json:"count,omitempty"`
-	Seed       uint64         `json:"seed,omitempty"`
-	Trials     int            `json:"trials,omitempty"`
-	Lo         int            `json:"lo,omitempty"`
-	Hi         int            `json:"hi,omitempty"`
-}
 
 // Wireable reports whether the request can cross the peer protocol: its
 // result must be shareable (cacheable kind) and its identity fields must
@@ -40,49 +16,36 @@ func (r Request) Wireable() bool {
 	return r.Kind.cacheable() && r.Config.Model == nil
 }
 
-// MarshalWire encodes the request for the peer protocol. Non-wireable
-// requests are rejected with an Invalid-class error; route them locally
-// instead.
+// MarshalWire encodes the request for the peer protocol: the JSON form
+// of Request itself, which carries every identity field and drops
+// Workers. Both ends of the protocol run the same binary, so the
+// encoding only needs to be a faithful round trip, not a versioned
+// format. Non-wireable requests are rejected with an Invalid-class
+// error; route them locally instead.
 func (r Request) MarshalWire() ([]byte, error) {
 	if !r.Wireable() {
-		return nil, nwerr.Invalidf("engine: request kind %q is not wireable", string(r.Kind))
+		return nil, errNotWireable(r.Kind)
 	}
-	return json.Marshal(wireRequest{
-		Kind:       r.Kind,
-		Config:     r.Config,
-		Experiment: r.Experiment,
-		Grid:       r.Grid,
-		Objective:  r.Objective,
-		Types:      r.Types,
-		Lengths:    r.Lengths,
-		Count:      r.Count,
-		Seed:       r.Seed,
-		Trials:     r.Trials,
-		Lo:         r.Lo,
-		Hi:         r.Hi,
-	})
+	return json.Marshal(r)
 }
 
-// UnmarshalWire decodes a peer-protocol request. The result still goes
-// through Engine.Do's validation on the serving node; this only rejects
-// bytes that are not the wire form at all.
+// UnmarshalWire decodes a peer-protocol request. Bytes that are not the
+// wire form, and requests that could never have been sent (non-wireable
+// kinds), are Invalid-class; everything else still goes through
+// Engine.Do's validation on the serving node.
 func UnmarshalWire(data []byte) (Request, error) {
-	var w wireRequest
-	if err := json.Unmarshal(data, &w); err != nil {
+	var r Request
+	if err := json.Unmarshal(data, &r); err != nil {
 		return Request{}, nwerr.Invalidf("engine: bad wire request: %w", err)
 	}
-	return Request{
-		Kind:       w.Kind,
-		Config:     w.Config,
-		Experiment: w.Experiment,
-		Grid:       w.Grid,
-		Objective:  w.Objective,
-		Types:      w.Types,
-		Lengths:    w.Lengths,
-		Count:      w.Count,
-		Seed:       w.Seed,
-		Trials:     w.Trials,
-		Lo:         w.Lo,
-		Hi:         w.Hi,
-	}, nil
+	if !r.Wireable() {
+		return Request{}, errNotWireable(r.Kind)
+	}
+	return r, nil
+}
+
+// errNotWireable refuses a request that cannot cross the peer protocol,
+// on either end.
+func errNotWireable(k Kind) error {
+	return nwerr.Invalidf("engine: request kind %q is not wireable", string(k))
 }

@@ -1,13 +1,84 @@
 package engine
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
+	"nwdec/internal/code"
 	"nwdec/internal/core"
+	"nwdec/internal/geometry"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/physics"
 	"nwdec/internal/sweep"
 )
+
+// TestWireCarriesEveryIdentityField: the wire form is Request's own JSON
+// form, so every identity field must round-trip exactly and Workers must
+// never cross. The literal sets every exported field — the reflect loop
+// fails on any left zero, so a field added to Request must be added
+// here, and its wire behaviour is then checked with the rest.
+func TestWireCarriesEveryIdentityField(t *testing.T) {
+	full := Request{
+		Kind: KindSweep,
+		Config: core.Config{
+			CodeType: code.TypeGray, Base: 3, CodeLength: 6,
+			Spec: geometry.CrossbarSpec{
+				Params:        geometry.Params{LithoPitch: 45, NanowirePitch: 10, MinContactFactor: 1.5, BoundaryLossWires: 2},
+				RawBits:       4096,
+				HalfCaveWires: 24,
+			},
+			SigmaT: 0.05, VMin: -1, VMax: 1, MarginFactor: 1.25, DoseUnit: 0.1,
+		},
+		Experiment: "fig7",
+		Grid: sweep.Grid{
+			Types:         []code.Type{code.TypeHot, code.TypeArrangedHot},
+			Lengths:       []int{4, 6},
+			SigmaTs:       []float64{0.04, 0.05},
+			MarginFactors: []float64{1, 1.5},
+			HalfCaveWires: []int{16, 20},
+		},
+		Objective: core.MaxYield,
+		Types:     []code.Type{code.TypeTree},
+		Lengths:   []int{8, 10},
+		Count:     12,
+		Seed:      2009,
+		Trials:    7,
+		Lo:        1,
+		Hi:        3,
+		Workers:   4,
+	}
+	v := reflect.ValueOf(full)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+			t.Errorf("Request.%s is zero in the literal; set it so its wire form is checked", f.Name)
+		}
+	}
+
+	data, err := full.MarshalWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for name := range fields {
+		if strings.EqualFold(name, "workers") {
+			t.Errorf("Workers crossed the wire as %q: %s", name, data)
+		}
+	}
+	got, err := UnmarshalWire(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := full
+	want.Workers = 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip changed the request:\n got %+v\nwant %+v", got, want)
+	}
+}
 
 // TestChunkWireRoundTrip pins the interchange form of a job chunk — a
 // ranged sweep request: the identity fields and the point range survive
@@ -69,8 +140,9 @@ func TestChunkWireRoundTrip(t *testing.T) {
 
 // FuzzUnmarshalWire fuzzes the peer protocol's decoder, the one parser
 // that reads request bytes from other processes: it must never panic,
-// and any bytes it accepts must re-marshal and decode again to the same
-// key — the property the owner's X-Request-Key echo relies on.
+// and any bytes it accepts must re-marshal (it never yields a request
+// that could not have been sent) and decode again to the same key — the
+// property the owner's X-Request-Key echo relies on.
 func FuzzUnmarshalWire(f *testing.F) {
 	for _, req := range []Request{
 		{Kind: KindSweep},
@@ -97,7 +169,7 @@ func FuzzUnmarshalWire(f *testing.F) {
 		}
 		again, err := req.MarshalWire()
 		if err != nil {
-			return // a decoded kind that never crosses the wire
+			t.Fatalf("decoded request does not re-marshal: %v\n%s", err, data)
 		}
 		back, err := UnmarshalWire(again)
 		if err != nil {

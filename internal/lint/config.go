@@ -27,9 +27,6 @@ type Config struct {
 	// Layering is the allowed package DAG, one row per governed package
 	// (rule "layering"). See LayerRule.
 	Layering []LayerRule
-	// WireParity lists the identity/wire struct pairs whose fields must
-	// stay in round-trip parity (rule "wireparity").
-	WireParity []WireSpec
 }
 
 // LayerRule is one row of the layering table. Pkg names the governed
@@ -42,19 +39,6 @@ type LayerRule struct {
 	Deny      []string
 	Importers []string
 	Why       string
-}
-
-// WireSpec declares one wire-parity contract: in package Pkg, every
-// exported field of Struct except those in Exclude must appear in Wire
-// and be set explicitly in the Marshal and Unmarshal conversions, and
-// the excluded fields must not appear in Wire at all.
-type WireSpec struct {
-	Pkg       string
-	Struct    string
-	Wire      string
-	Marshal   string
-	Unmarshal string
-	Exclude   []string
 }
 
 // DefaultConfig returns the project configuration for the given module
@@ -124,11 +108,6 @@ func DefaultConfig(module string) *Config {
 				Why: "library packages return data; text rendering belongs to the edges and the dataset/report layers"},
 			{Pkg: "internal/viz", Importers: []string{"cmd/", "examples/", "scripts/", "internal/report"},
 				Why: "library packages return data; visualization belongs to the command layer"},
-		},
-		WireParity: []WireSpec{
-			{Pkg: "internal/engine", Struct: "Request", Wire: "wireRequest",
-				Marshal: "MarshalWire", Unmarshal: "UnmarshalWire",
-				Exclude: []string{"Workers"}},
 		},
 	}
 }

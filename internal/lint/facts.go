@@ -7,9 +7,9 @@ import (
 	"sort"
 )
 
-// Fact is a typed datum an analyzer exports about an object or a
-// package for downstream passes to consume — the cross-package half of
-// the framework. A fact type is identified by its concrete Go type (so
+// Fact is a typed datum an analyzer exports about an object for
+// downstream passes to consume — the cross-package half of the
+// framework. A fact type is identified by its concrete Go type (so
 // two analyzers cannot collide unless they share a type), must be a
 // pointer to a struct, and should carry only what downstream rules
 // need. The canonical example is atomicfield's marker on struct fields
@@ -18,8 +18,8 @@ import (
 //
 // Facts flow strictly along the import DAG: a pass sees the facts of
 // the packages it (transitively) imports, because the runner analyzes
-// packages in dependency order. Facts about a package that nothing
-// imports are visible only to that package's own pass.
+// packages in dependency order. Facts about the objects of a package
+// that nothing imports are visible only to that package's own pass.
 type Fact interface {
 	// AFact is a marker method; it does nothing.
 	AFact()
@@ -31,7 +31,6 @@ type Fact interface {
 // locking needed under the runner's wave barriers.
 type pkgFacts struct {
 	obj map[types.Object][]Fact
-	pkg []Fact
 }
 
 func newPkgFacts() *pkgFacts {
@@ -47,16 +46,6 @@ func (s *pkgFacts) exportObject(obj types.Object, f Fact) {
 		}
 	}
 	s.obj[obj] = append(s.obj[obj], f)
-}
-
-func (s *pkgFacts) exportPackage(f Fact) {
-	for i, have := range s.pkg {
-		if reflect.TypeOf(have) == reflect.TypeOf(f) {
-			s.pkg[i] = f
-			return
-		}
-	}
-	s.pkg = append(s.pkg, f)
 }
 
 // factStore maps every analyzed package to its fact set. The runner
@@ -100,27 +89,12 @@ func (s *factStore) importObject(obj types.Object, f Fact) bool {
 	return false
 }
 
-func (s *factStore) importPackage(pkg *types.Package, f Fact) bool {
-	set, ok := s.byPkg[pkg]
-	if !ok {
-		return false
-	}
-	for _, have := range set.pkg {
-		if reflect.TypeOf(have) == reflect.TypeOf(f) {
-			fill(f, have)
-			return true
-		}
-	}
-	return false
-}
-
 // FactLine is one exported fact in the human-readable dump of the
 // cmd/nwlint -facts mode.
 type FactLine struct {
 	// Package is the import path of the exporting package.
 	Package string `json:"package"`
-	// Object names the annotated object ("(Type).Field"), empty for a
-	// package-level fact.
+	// Object names the annotated object ("(Type).Field").
 	Object string `json:"object,omitempty"`
 	// Fact is the concrete fact type name.
 	Fact string `json:"fact"`
@@ -139,9 +113,6 @@ func (s *factStore) summary() []FactLine {
 			for _, f := range facts {
 				out = append(out, FactLine{Package: tpkg.Path(), Object: name, Fact: factName(f)})
 			}
-		}
-		for _, f := range set.pkg {
-			out = append(out, FactLine{Package: tpkg.Path(), Fact: factName(f)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

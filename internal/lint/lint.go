@@ -1,13 +1,13 @@
 // Package lint is the project's static-analysis engine: a modular,
 // type-aware analyzer framework in the shape of go/analysis (stdlib
-// only, built on go/ast + go/types) plus the nine project-invariant
+// only, built on go/ast + go/types) plus the eight project-invariant
 // analyzers that turn the repository's correctness conventions into
 // machine-checked rules.
 //
 // The framework runs each Analyzer over a fully type-checked package.
-// An analyzer may export facts — typed data attached to objects or
-// packages — that passes over downstream packages import, so rules can
-// reason across package boundaries (see Fact). Packages are analyzed in
+// An analyzer may export facts — typed data attached to objects — that
+// passes over downstream packages import, so rules can reason across
+// package boundaries (see Fact). Packages are analyzed in
 // dependency order, independent packages in parallel on the internal/par
 // pool, and the diagnostic stream is byte-identical at every worker
 // count. Diagnostics may carry SuggestedFixes that the cmd/nwlint driver
@@ -34,10 +34,7 @@
 //     anywhere is accessed atomically everywhere (rule "atomicfield");
 //   - layering — the package DAG is pinned: the engine never imports the
 //     cluster, obs stays below the pipeline, and the text renderers are
-//     reachable only from the edges (rule "layering");
-//   - wire parity — every identity field of engine.Request round-trips
-//     through the peer-protocol wire form, and Workers never does (rule
-//     "wireparity").
+//     reachable only from the edges (rule "layering").
 //
 // A diagnostic can be suppressed at a specific site with a directive
 // comment on the same line or the line above:
@@ -74,11 +71,11 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// All returns the nine project analyzers in stable order.
+// All returns the eight project analyzers in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, CtxFirst, NoGoroutine, ErrCheck, PrintBound,
-		ScratchConfine, AtomicField, Layering, WireParity,
+		ScratchConfine, AtomicField, Layering,
 	}
 }
 
@@ -208,21 +205,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 		return false
 	}
 	return p.store.importObject(obj, f)
-}
-
-// ExportPackageFact attaches a fact to the pass's package as a whole.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if p.facts == nil {
-		return
-	}
-	p.facts.exportPackage(f)
-}
-
-// ImportPackageFact copies the fact of f's concrete type previously
-// exported for pkg into f and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if p.store == nil || pkg == nil {
-		return false
-	}
-	return p.store.importPackage(pkg, f)
 }

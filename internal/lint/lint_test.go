@@ -102,7 +102,6 @@ func TestAnalyzers(t *testing.T) {
 		{"errcheck", "nwdec/internal/readout", "errcheck"},
 		{"printbound", "nwdec/internal/geometry", "printbound"},
 		{"printbound_main", "nwdec/cmd/fixture", "printbound"},
-		{"wireparity", "nwdec/internal/engine", "wireparity"},
 		{"ctxfirst_alias", "nwdec/internal/sweep", "ctxfirst"},
 	}
 	for _, tc := range cases {

@@ -11,21 +11,24 @@
 #          2. go build ./...  — everything compiles
 #          3. go vet ./...    — static checks
 #          4. go run ./cmd/nwlint ./...  — the project-invariant analyzer;
-#             the tree must be free of diagnostics under all nine rules
+#             the tree must be free of diagnostics under all eight rules
 #             (determinism, ctxfirst, nogoroutine, errcheck, printbound,
-#             scratchconfine, atomicfield, layering, wireparity). The JSON
-#             report lands in ci-artifacts/nwlint.json and a `-diff` dry
-#             run asserts the tree is fix-clean (no suggested fix left
+#             scratchconfine, atomicfield, layering). The JSON report
+#             lands in ci-artifacts/nwlint.json and a `-diff` dry run
+#             asserts the tree is fix-clean (no suggested fix left
 #             unapplied)
 #
 #   test   5. go test -race -count=1 ./...  — full suite under the race
 #             detector, cache disabled; this is what keeps internal/par,
 #             the shared generator cache and the jobs runner race-clean
 #             and exercises the serial-vs-parallel determinism tests. It
-#             includes cmd/nwserve's TestPeerSmoke: a two-node in-process
-#             fleet asserting X-Cache miss-peer then hit-peer through the
-#             node that does not own a key, and a job through that node
-#             spread over both engines with byte-identical output
+#             includes cmd/nwserve's TestBinary, the real-process check
+#             of the listener and graceful shutdown (one request, the
+#             async job lifecycle, then SIGTERM and a clean exit), and
+#             TestPeerSmoke: a two-node in-process fleet asserting
+#             X-Cache miss-peer then hit-peer through the node that does
+#             not own a key, and a job through that node spread over both
+#             engines with byte-identical output
 #          6. coverage gate — go run ./scripts/covergate enforces
 #             per-package statement-coverage floors over
 #             internal/{par,code,dataset,obs,engine,jobs,cluster,nwerr,
@@ -39,11 +42,7 @@
 #          8. metrics smoke — nwsim -metrics json must emit a parseable
 #             snapshot (saved as ci-artifacts/metrics.json) without
 #             touching stdout data
-#          9. server smoke — nwserve -smoke starts the HTTP facade on an
-#             ephemeral port, exercises one synchronous request plus the
-#             full async job lifecycle (submit, poll, results) against
-#             itself and shuts down gracefully
-#         10. jobs kill/resume smoke — submits a multi-chunk sweep job
+#          9. jobs kill/resume smoke — submits a multi-chunk sweep job
 #             through nwsweep -job, SIGKILLs it mid-run, resumes from the
 #             checkpoint store and asserts the final dataset is
 #             byte-identical to an uninterrupted run; a second resume of
@@ -51,7 +50,7 @@
 #             by the computed=0 accounting line and by the obs
 #             jobs/chunks_* counters. The job store is preserved under
 #             ci-artifacts/job-smoke/ when the smoke fails.
-#         11. distributed jobs smoke — starts two nwserve peers, runs
+#         10. distributed jobs smoke — starts two nwserve peers, runs
 #             the same sweep job through nwsweep -peers so chunks route
 #             over the consistent-hash ring, SIGKILLs one peer
 #             mid-job and asserts the job still completes with output
@@ -59,7 +58,7 @@
 #             nonzero peer_served count in the ring accounting line. The
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
-#         12. fuzz smoke — 10s of real fuzzing per fuzz target of every
+#         11. fuzz smoke — 10s of real fuzzing per fuzz target of every
 #             package under internal/, auto-discovered from the test files
 #
 # Every stage ends with a per-step wall-time table (rendered by
@@ -160,10 +159,6 @@ run_metrics_smoke() {
 		-metrics json -metrics-out "$artifacts/metrics.json" >/dev/null
 	test -s "$artifacts/metrics.json"
 	go run ./cmd/nwsim -exp montecarlo -trials 4 >"$artifacts/montecarlo-plain.txt"
-}
-
-run_server_smoke() {
-	go run ./cmd/nwserve -smoke
 }
 
 # jobs_smoke_body is the kill/resume equivalence check. It runs inside
@@ -429,7 +424,6 @@ fi
 if [ "$stage" = "bench" ] || [ "$stage" = "all" ]; then
 	step "bench regression" run_bench
 	step "metrics smoke" run_metrics_smoke
-	step "server smoke" run_server_smoke
 	step "jobs kill/resume smoke" run_jobs_smoke
 	step "distributed jobs smoke" run_dist_smoke
 	step "fuzz smoke" run_fuzz_smoke
