@@ -32,24 +32,36 @@ func TestRunCancellation(t *testing.T) {
 	}
 
 	// Cancellation mid-run: start an expensive Monte-Carlo run, cancel
-	// shortly after, and require a prompt error return.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		heavy := NewRunner()
-		heavy.MCTrials = 10000
-		_, err := heavy.Run(ctx2, "montecarlo")
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel2()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("mid-run cancel: err = %v, want context.Canceled", err)
+	// shortly after, and require a prompt error return. readout runs
+	// 15·MCTrials trials per study (300,000 here), so it meets its bound
+	// only if each study checks ctx per trial, not just between studies.
+	for _, tc := range []struct {
+		name   string
+		trials int
+		after  time.Duration // run time before the cancel
+		bound  time.Duration // allowed time from cancel to return
+	}{
+		{"montecarlo", 10000, 10 * time.Millisecond, 10 * time.Second},
+		{"readout", 20000, 20 * time.Millisecond, time.Second},
+	} {
+		ctx2, cancel2 := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			heavy := NewRunner()
+			heavy.MCTrials = tc.trials
+			_, err := heavy.Run(ctx2, tc.name)
+			done <- err
+		}()
+		time.Sleep(tc.after)
+		cancel2()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s mid-run cancel: err = %v, want context.Canceled", tc.name, err)
+			}
+		case <-time.After(tc.bound):
+			t.Fatalf("cancelled %s run did not return within %v", tc.name, tc.bound)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled Monte-Carlo run did not return")
 	}
 
 	// The worker pools must have drained: allow scheduler noise but no

@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden dataset files"
 // bytes, pinning the worker-count independence of the serialized forms.
 func TestGoldenDatasets(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"fig5", "fig7", "fig8", "headline"} {
+	for _, name := range []string{"fig5", "fig7", "fig8", "headline", "readout", "noise"} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			r := NewRunner()
 			r.Workers = workers

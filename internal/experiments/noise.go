@@ -76,14 +76,19 @@ func NoiseStudy(ctx context.Context, cfg core.Config, trials int, seed uint64) (
 	half := sigma / 1.4142135623730951 // split the variance evenly
 	correlated := mspt.NoiseParams{SigmaRandom: half, SigmaSystematic: half}
 	rng := stats.NewRNG(seed)
+	// Every trial samples into one threshold arena and resolves into one
+	// mask: both are overwritten whole before they are read.
+	vt := design.Plan.NewVTArena()
+	unique := make([]bool, design.Plan.N())
 	countYield := func(np mspt.NoiseParams) (float64, error) {
 		ok := 0
 		for tr := 0; tr < trials; tr++ {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			vt := design.Plan.SampleVTCorrelated(rng, np, design.Quantizer.VTOf)
-			for _, u := range dec.UniquelyAddressable(vt, 0, design.Plan.N()) {
+			design.Plan.SampleVTCorrelatedInto(rng, np, design.Quantizer.VTOf, vt)
+			dec.UniquelyAddressableInto(vt, 0, design.Plan.N(), unique)
+			for _, u := range unique {
 				if u {
 					ok++
 				}

@@ -79,7 +79,7 @@ func TestRunnerWorkerCountInvisible(t *testing.T) {
 	// The same experiment through the Runner must serialize identically at
 	// every worker count, in every format.
 	ctx := context.Background()
-	for _, name := range []string{"fig7", "montecarlo", "margin"} {
+	for _, name := range []string{"fig7", "montecarlo", "margin", "readout", "noise"} {
 		serial := NewRunner()
 		serial.Workers = 1
 		parallel := NewRunner()

@@ -7,6 +7,7 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/dataset"
+	"nwdec/internal/par"
 	"nwdec/internal/readout"
 	"nwdec/internal/stats"
 	"nwdec/internal/textplot"
@@ -29,67 +30,76 @@ type ReadoutPoint struct {
 	DigitalYield float64
 }
 
+// readoutStudy is one row of the readout extension: a Fig. 7 design and
+// the drive scheme its sensing path is scored under.
+type readoutStudy struct {
+	tp       code.Type
+	m        int
+	dualRail bool
+}
+
+// readoutStudies are the readout rows in presentation (and RNG fork)
+// order. The arranged hot code gets a second row under the dual-rail
+// drive, which multiplies its blockers per unselected wire.
+var readoutStudies = []readoutStudy{
+	{code.TypeTree, 10, false},
+	{code.TypeGray, 10, false},
+	{code.TypeBalancedGray, 10, false},
+	{code.TypeArrangedHot, 6, false},
+	{code.TypeArrangedHot, 6, true},
+}
+
 // Readout runs the analog sensing extension: the same designs as Fig. 7,
 // scored by the on/off current-ratio criterion of a series-transistor
-// readout path instead of the digital threshold margin. The per-design loop
-// polls ctx, so cancelling it mid-run returns promptly with ctx's error.
+// readout path instead of the digital threshold margin. It runs on the
+// default worker pool.
 func Readout(ctx context.Context, cfg core.Config, trials int, seed uint64) ([]ReadoutPoint, error) {
+	return ReadoutWorkers(ctx, cfg, trials, seed, 0)
+}
+
+// ReadoutWorkers is Readout with an explicit worker count (<= 0 means
+// GOMAXPROCS). Every study's generator is forked from the seed up front, in
+// row order, so which stream a study draws is fixed before the pool
+// schedules it and the output is bit-identical at every worker count. The
+// studies check ctx once per trial, so cancelling it mid-run returns
+// promptly with ctx's error.
+func ReadoutWorkers(ctx context.Context, cfg core.Config, trials int, seed uint64, workers int) ([]ReadoutPoint, error) {
 	if trials <= 0 {
 		trials = 60
 	}
 	tr := readout.DefaultTransistor()
 	rng := stats.NewRNG(seed)
-	var out []ReadoutPoint
-	for _, pt := range []struct {
-		tp code.Type
-		m  int
-	}{
-		{code.TypeTree, 10},
-		{code.TypeGray, 10},
-		{code.TypeBalancedGray, 10},
-		{code.TypeArrangedHot, 6},
-	} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c := cfg
-		c.CodeType = pt.tp
-		c.CodeLength = pt.m
-		d, err := core.NewDesign(c)
-		if err != nil {
-			return nil, err
-		}
-		study, err := readout.MonteCarlo(tr, d.Plan, d.Quantizer, d.Config.SigmaT,
-			readout.DefaultMinRatio, trials, rng.Fork())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ReadoutPoint{
-			Type:             pt.tp,
-			Length:           pt.m,
-			SensableFraction: study.SensableFraction,
-			MedianRatio:      study.Ratios.Median,
-			DigitalYield:     d.Yield(),
-		})
-		// The arranged hot code gets a second row under the dual-rail
-		// drive, which multiplies its blockers per unselected wire.
-		if pt.tp == code.TypeArrangedHot {
-			dual, err := readout.MonteCarloDualRail(tr, d.Plan, d.Quantizer, d.Config.SigmaT,
-				readout.DefaultMinRatio, trials, rng.Fork())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ReadoutPoint{
-				Type:             pt.tp,
-				Length:           pt.m,
-				DualRail:         true,
-				SensableFraction: dual.SensableFraction,
-				MedianRatio:      dual.Ratios.Median,
-				DigitalYield:     d.Yield(),
-			})
-		}
+	rngs := make([]*stats.RNG, len(readoutStudies))
+	for i := range rngs {
+		rngs[i] = rng.Fork()
 	}
-	return out, nil
+	return par.Map(ctx, workers, readoutStudies,
+		func(ctx context.Context, i int, s readoutStudy) (ReadoutPoint, error) {
+			c := cfg
+			c.CodeType = s.tp
+			c.CodeLength = s.m
+			d, err := core.NewDesign(c)
+			if err != nil {
+				return ReadoutPoint{}, err
+			}
+			run := readout.MonteCarlo
+			if s.dualRail {
+				run = readout.MonteCarloDualRail
+			}
+			study, err := run(ctx, tr, d.Plan, d.Quantizer, d.Config.SigmaT,
+				readout.DefaultMinRatio, trials, rngs[i])
+			if err != nil {
+				return ReadoutPoint{}, err
+			}
+			return ReadoutPoint{
+				Type:             s.tp,
+				Length:           s.m,
+				DualRail:         s.dualRail,
+				SensableFraction: study.SensableFraction,
+				MedianRatio:      study.Ratios.Median,
+				DigitalYield:     d.Yield(),
+			}, nil
+		})
 }
 
 // ReadoutDataset packages the analog sensing extension as a structured

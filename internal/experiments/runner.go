@@ -169,7 +169,7 @@ var registry = []experimentSpec{
 		return NoiseStudyDataset(res, r.Seed), nil
 	}},
 	{"readout", func(ctx context.Context, r Runner) (*dataset.Dataset, error) {
-		points, err := Readout(ctx, r.Cfg, r.MCTrials*15, r.Seed)
+		points, err := ReadoutWorkers(ctx, r.Cfg, r.MCTrials*15, r.Seed, r.Workers)
 		if err != nil {
 			return nil, err
 		}

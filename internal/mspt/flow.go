@@ -2,7 +2,7 @@ package mspt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nwdec/internal/stats"
 )
@@ -80,10 +80,12 @@ func (p *Plan) Run() *FlowResult {
 		res.Doping[i] = make([]int64, p.m)
 		res.DoseOps[i] = make([]int, p.m)
 	}
+	doses := make([]int64, 0, p.m)
 	for i := 0; i < p.n; i++ {
 		res.Events = append(res.Events, Event{Kind: EventSpacer, Spacer: i})
 		// Group this procedure's doses by value: one mask+implant per value.
-		for _, dose := range distinctNonZero(p.s[i]) {
+		doses = distinctNonZero(doses, p.s[i])
+		for _, dose := range doses {
 			var regions []int
 			for j, v := range p.s[i] {
 				if v == dose {
@@ -138,12 +140,20 @@ func (p *Plan) Verify() error {
 // the generator work. nominal maps digits to nominal threshold voltages
 // (e.g. physics.Quantizer.VTOf).
 func (p *Plan) SampleVT(rng *stats.RNG, sigmaT float64, nominal func(digit int) float64) [][]float64 {
+	out := p.NewVTArena()
+	p.SampleVTInto(rng, sigmaT, nominal, out)
+	return out
+}
+
+// NewVTArena returns an N×M threshold matrix whose rows are windows of one
+// flat array: the caller-owned buffer SampleVTInto and
+// SampleVTCorrelatedInto fill, allocated once and reused across draws.
+func (p *Plan) NewVTArena() [][]float64 {
 	flat := make([]float64, p.n*p.m)
 	out := make([][]float64, p.n)
 	for i := range out {
 		out[i] = flat[i*p.m : (i+1)*p.m]
 	}
-	p.SampleVTInto(rng, sigmaT, nominal, out)
 	return out
 }
 
@@ -168,18 +178,19 @@ func (p *Plan) SampleVTInto(rng *stats.RNG, sigmaT float64, nominal func(digit i
 	}
 }
 
-// distinctNonZero returns the distinct non-zero values of row, ascending.
-func distinctNonZero(row []int64) []int64 {
-	set := make(map[int64]bool)
+// distinctNonZero returns the distinct non-zero values of row, ascending,
+// in buf's backing array: buf's contents are discarded, and a buf with
+// capacity len(row) is never reallocated, so one scratch slice serves every
+// row of a plan.
+func distinctNonZero(buf, row []int64) []int64 {
+	out := buf[:0]
 	for _, v := range row {
-		if v != 0 {
-			set[v] = true
+		if v == 0 {
+			continue
+		}
+		if at, found := slices.BinarySearch(out, v); !found {
+			out = slices.Insert(out, at, v)
 		}
 	}
-	out := make([]int64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

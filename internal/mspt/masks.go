@@ -53,8 +53,10 @@ func (m MaskSet) ReuseFactor() float64 {
 func (p *Plan) Masks() MaskSet {
 	byKey := make(map[string]*MaskUsage)
 	passes := 0
+	doses := make([]int64, 0, p.m)
 	for i := 0; i < p.n; i++ {
-		for _, dose := range distinctNonZero(p.s[i]) {
+		doses = distinctNonZero(doses, p.s[i])
+		for _, dose := range doses {
 			var regions []int
 			for j, v := range p.s[i] {
 				if v == dose {

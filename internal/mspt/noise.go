@@ -45,28 +45,38 @@ func (n NoiseParams) EffectiveSigma(nu int) float64 {
 //
 // With SigmaSystematic = 0 this is statistically identical to SampleVT.
 func (p *Plan) SampleVTCorrelated(rng *stats.RNG, np NoiseParams, nominal func(digit int) float64) [][]float64 {
-	vt := make([][]float64, p.n)
+	vt := p.NewVTArena()
+	p.SampleVTCorrelatedInto(rng, np, nominal, vt)
+	return vt
+}
+
+// SampleVTCorrelatedInto is SampleVTCorrelated writing into caller-owned
+// row buffers: dst must hold N rows of M floats (see NewVTArena), and every
+// entry is overwritten. It makes SampleVTCorrelated's draws in the same
+// order, so realizations are bit-identical; its only allocation is the
+// one dose scratch slice shared by all N passes' rows.
+func (p *Plan) SampleVTCorrelatedInto(rng *stats.RNG, np NoiseParams, nominal func(digit int) float64, dst [][]float64) {
 	for i := 0; i < p.n; i++ {
-		row := make([]float64, p.m)
+		row := dst[i]
 		for j := 0; j < p.m; j++ {
 			row[j] = nominal(p.pattern[i][j])
 		}
-		vt[i] = row
 	}
+	doses := make([]int64, 0, p.m)
 	for i := 0; i < p.n; i++ {
-		for _, dose := range distinctNonZero(p.s[i]) {
+		doses = distinctNonZero(doses, p.s[i])
+		for _, dose := range doses {
 			offset := rng.Normal(0, np.SigmaSystematic)
 			for j, v := range p.s[i] {
 				if v != dose {
 					continue
 				}
 				for k := 0; k <= i; k++ {
-					vt[k][j] += offset + rng.Normal(0, np.SigmaRandom)
+					dst[k][j] += offset + rng.Normal(0, np.SigmaRandom)
 				}
 			}
 		}
 	}
-	return vt
 }
 
 // PassCorrelationProbe estimates, over trials Monte-Carlo runs, the sample

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nwdec/internal/code"
 	"nwdec/internal/physics"
 	"nwdec/internal/stats"
 )
@@ -104,5 +105,72 @@ func TestPassCorrelationProbeDegenerate(t *testing.T) {
 	q := physics.PaperExampleQuantizer()
 	if got := p.PassCorrelationProbe(stats.NewRNG(1), NoiseParams{}, q.VTOf, 0, 0, 1, 1, 1); got != 0 {
 		t.Errorf("degenerate probe = %g", got)
+	}
+}
+
+func TestSampleVTCorrelatedIntoMatchesAllocating(t *testing.T) {
+	// The paper example (base 3, compensation doses) and the noise study's
+	// BGC M=10 half cave.
+	q2, err := physics.NewQuantizer(physics.DefaultPhysicalModel(), 2, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := code.NewBalancedGray(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgc, err := NewPlanFromGenerator(g, 20, q2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []struct {
+		p       *Plan
+		nominal func(int) float64
+	}{
+		{mustPlan(t, paperGrayPattern()), physics.PaperExampleQuantizer().VTOf},
+		{bgc, q2.VTOf},
+	}
+	for _, pc := range plans {
+		for _, np := range []NoiseParams{
+			{SigmaRandom: 0.05},
+			{SigmaRandom: 0.03, SigmaSystematic: 0.04},
+		} {
+			rng := stats.NewRNG(59)
+			dst := pc.p.NewVTArena()
+			for trial := 0; trial < 4; trial++ {
+				// Stale contents must be overwritten, not accumulated.
+				for _, row := range dst {
+					for j := range row {
+						row[j] = math.NaN()
+					}
+				}
+				ref := rng.Clone()
+				want := pc.p.SampleVTCorrelated(ref, np, pc.nominal)
+				pc.p.SampleVTCorrelatedInto(rng, np, pc.nominal, dst)
+				for i := range want {
+					for j := range want[i] {
+						if dst[i][j] != want[i][j] {
+							t.Fatalf("%+v trial %d: vt[%d][%d] = %v, want %v", np, trial, i, j, dst[i][j], want[i][j])
+						}
+					}
+				}
+				if a, b := rng.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("%+v trial %d: generators diverged after the draw", np, trial)
+				}
+			}
+		}
+	}
+}
+
+func TestSampleVTCorrelatedIntoAllocs(t *testing.T) {
+	p := mustPlan(t, paperGrayPattern())
+	nominal := physics.PaperExampleQuantizer().VTOf
+	np := NoiseParams{SigmaRandom: 0.03, SigmaSystematic: 0.04}
+	rng := stats.NewRNG(61)
+	dst := p.NewVTArena()
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.SampleVTCorrelatedInto(rng, np, nominal, dst)
+	}); allocs > 1 {
+		t.Errorf("SampleVTCorrelatedInto allocates %v times per call, want <= 1", allocs)
 	}
 }

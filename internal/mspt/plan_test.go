@@ -2,6 +2,7 @@ package mspt
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -338,14 +339,25 @@ func TestFlowEventLog(t *testing.T) {
 }
 
 func TestDistinctNonZero(t *testing.T) {
-	got := distinctNonZero([]int64{0, -5, 0, 2, -5, 2, 7})
-	want := []int64{-5, 2, 7}
-	if len(got) != len(want) {
-		t.Fatalf("distinctNonZero = %v", got)
+	cases := []struct {
+		row, want []int64
+	}{
+		{[]int64{0, -5, 0, 2, -5, 2, 7}, []int64{-5, 2, 7}},
+		{[]int64{3, 3, 3, 1, 1}, []int64{1, 3}},
+		{[]int64{-1, -7, 0, -7, -1, -3}, []int64{-7, -3, -1}},
+		{[]int64{0, 0, 0}, nil},
+		{nil, nil},
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("distinctNonZero = %v, want %v", got, want)
+	// One scratch slice serves every row, as in Run, Masks and the
+	// correlated sampler.
+	buf := make([]int64, 0, 7)
+	for _, c := range cases {
+		if got := distinctNonZero(buf, c.row); !slices.Equal(got, c.want) {
+			t.Errorf("distinctNonZero(%v) = %v, want %v", c.row, got, c.want)
 		}
+	}
+	row := cases[0].row
+	if allocs := testing.AllocsPerRun(100, func() { buf = distinctNonZero(buf, row) }); allocs != 0 {
+		t.Errorf("distinctNonZero allocates %v times per row", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package readout
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -28,18 +29,16 @@ func DualRailGateVoltages(q *physics.Quantizer, pattern, w code.Word) ([]float64
 	if len(pattern) != len(w) {
 		return nil, fmt.Errorf("readout: pattern length %d vs address length %d", len(pattern), len(w))
 	}
-	vmin, vmax := q.Window()
-	spacing := (vmax - vmin) / float64(q.N())
 	out := make([]float64, len(w))
 	for j := range w {
 		if pattern[j] == w[j] {
 			// Matched: rail high — the band edge just above the region's
 			// nominal level.
-			out[j] = vmin + float64(pattern[j]+1)*spacing
+			out[j] = bandEdge(q, pattern[j])
 		} else {
 			// Mismatched: rail low — a full level spacing below the
 			// region's own band edge, holding the device off.
-			out[j] = vmin + float64(pattern[j])*spacing
+			out[j] = bandEdge(q, pattern[j]-1)
 		}
 	}
 	return out, nil
@@ -84,40 +83,7 @@ func (t Transistor) ReadGroupDualRail(q *physics.Quantizer, patterns []code.Word
 }
 
 // MonteCarloDualRail is the dual-rail counterpart of MonteCarlo.
-func MonteCarloDualRail(t Transistor, plan *mspt.Plan, q *physics.Quantizer,
+func MonteCarloDualRail(ctx context.Context, t Transistor, plan *mspt.Plan, q *physics.Quantizer,
 	sigmaT, minRatio float64, trials int, rng *stats.RNG) (*Study, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	if plan.Base() != q.N() {
-		return nil, fmt.Errorf("readout: plan base %d does not match quantizer levels %d", plan.Base(), q.N())
-	}
-	if trials <= 0 {
-		return nil, fmt.Errorf("readout: non-positive trial count %d", trials)
-	}
-	if minRatio <= 0 {
-		minRatio = DefaultMinRatio
-	}
-	patterns := plan.Pattern()
-	var ratios []float64
-	sensable := 0
-	for tr := 0; tr < trials; tr++ {
-		vt := plan.SampleVT(rng, sigmaT, q.VTOf)
-		for i := range patterns {
-			read, err := t.ReadGroupDualRail(q, patterns, vt, i)
-			if err != nil {
-				return nil, err
-			}
-			ratios = append(ratios, read.OnCurrentRatio)
-			if read.Sensable(minRatio) {
-				sensable++
-			}
-		}
-	}
-	return &Study{
-		SensableFraction: float64(sensable) / float64(len(ratios)),
-		Ratios:           stats.Summarize(ratios),
-		Trials:           trials,
-		MinRatio:         minRatio,
-	}, nil
+	return monteCarlo(ctx, t, plan, q, sigmaT, minRatio, trials, rng, true)
 }

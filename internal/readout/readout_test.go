@@ -1,6 +1,7 @@
 package readout
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestMonteCarloSensability(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := DefaultTransistor()
-	study, err := MonteCarlo(tr, plan, q, 0.05, 0, 40, stats.NewRNG(3))
+	study, err := MonteCarlo(context.Background(), tr, plan, q, 0.05, 0, 40, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,11 @@ func TestMonteCarloSensabilityDegradesWithNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := DefaultTransistor()
-	quiet, err := MonteCarlo(tr, plan, q, 0.02, 10, 30, stats.NewRNG(5))
+	quiet, err := MonteCarlo(context.Background(), tr, plan, q, 0.02, 10, 30, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := MonteCarlo(tr, plan, q, 0.12, 10, 30, stats.NewRNG(5))
+	noisy, err := MonteCarlo(context.Background(), tr, plan, q, 0.12, 10, 30, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +185,15 @@ func TestMonteCarloValidation(t *testing.T) {
 	q3, _ := physics.NewQuantizer(physics.DefaultPhysicalModel(), 3, 0, 1)
 	plan, _ := mspt.NewPlanFromGenerator(g, 8, q2, 0)
 	tr := DefaultTransistor()
-	if _, err := MonteCarlo(tr, plan, q3, 0.05, 10, 5, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarlo(context.Background(), tr, plan, q3, 0.05, 10, 5, stats.NewRNG(1)); err == nil {
 		t.Error("base mismatch accepted")
 	}
-	if _, err := MonteCarlo(tr, plan, q2, 0.05, 10, 0, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarlo(context.Background(), tr, plan, q2, 0.05, 10, 0, stats.NewRNG(1)); err == nil {
 		t.Error("zero trials accepted")
 	}
 	bad := tr
 	bad.GOn = -1
-	if _, err := MonteCarlo(bad, plan, q2, 0.05, 10, 5, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarlo(context.Background(), bad, plan, q2, 0.05, 10, 5, stats.NewRNG(1)); err == nil {
 		t.Error("invalid transistor accepted")
 	}
 }
@@ -230,4 +231,14 @@ func TestReadPower(t *testing.T) {
 	if _, err := tr.ReadPower(vt, va, 0, 0); err == nil {
 		t.Error("zero sense voltage accepted")
 	}
+}
+
+// addressVoltages drives each mesowire to the upper edge of the addressed
+// digit's threshold band (the band-edge scheme of MonteCarlo).
+func addressVoltages(q *physics.Quantizer, w []int) []float64 {
+	va := make([]float64, len(w))
+	for j, digit := range w {
+		va[j] = bandEdge(q, digit)
+	}
+	return va
 }

@@ -24,7 +24,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-	-bench 'BenchmarkFig7$|BenchmarkFig8$|BenchmarkMonteCarloValidation$|BenchmarkSweepGrid$|BenchmarkParScaling|BenchmarkMonteCarloScaling|BenchmarkChunkSweep|BenchmarkJobCheckpoint|BenchmarkDistributedChunks' \
+	-bench 'BenchmarkFig7$|BenchmarkFig8$|BenchmarkMonteCarloValidation$|BenchmarkSweepGrid$|BenchmarkReadoutStudy$|BenchmarkNoiseStudy$|BenchmarkParScaling|BenchmarkMonteCarloScaling|BenchmarkChunkSweep|BenchmarkJobCheckpoint|BenchmarkDistributedChunks' \
 	-benchmem -benchtime "$benchtime" . | tee "$tmp"
 
 awk -v benchtime="$benchtime" '
