@@ -1,30 +1,30 @@
 // Command nwlint runs the project's static analyzers over the module
 // and reports every violation of the determinism, cancellation,
 // concurrency-containment, error-discipline, output-discipline,
-// scratch-confinement, atomic-coherence, layering and wire-parity
-// invariants (see internal/lint).
+// scratch-confinement, typed-atomics and layering invariants (see
+// internal/lint).
 //
 // Usage:
 //
-//	nwlint [flags] [./... | package directories]
+//	nwlint [flags] [packages]
 //
-// With no arguments (or "./...") every package of the module is
-// checked. Packages are analyzed in dependency order with independent
-// packages in parallel (-workers bounds the pool; output is
-// byte-identical at every worker count). Diagnostics that carry a
-// suggested fix can be applied in place with -fix or previewed as
-// unified diffs with -diff (a dry run that never writes). -facts dumps
-// the cross-package facts the analyzers exported, for debugging rules
-// built on the fact store.
+// With no arguments every package of the module is checked. An argument
+// ending in "..." selects the module packages at or below its directory
+// ("./...", "./internal/lint/..."); any other argument is one package
+// directory. Packages are analyzed independently and in parallel
+// (-workers bounds the pool; output is byte-identical at every worker
+// count). Diagnostics that carry a suggested fix can be applied in place
+// with -fix or previewed as unified diffs with -diff (a dry run that
+// never writes).
 //
 // Exit codes follow the internal/cli convention: 0 when the tree is
 // clean (with -fix: when every diagnostic was fixed), 1 when
-// diagnostics were found or the analysis failed, 2 on a usage error.
+// diagnostics were found or the analysis failed, 2 on a usage error
+// (including a pattern that matches no package).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel analysis workers (0 = GOMAXPROCS)")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source tree")
 	diff := flag.Bool("diff", false, "preview suggested fixes as diffs without writing (dry run)")
-	factsOut := flag.String("facts", "", "write the exported analyzer facts as JSON to this file ('-' for stdout)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -97,15 +96,9 @@ func main() {
 		pkgs = append(pkgs, pkg)
 	}
 
-	diags, facts, err := lint.RunParallelFacts(context.Background(), *workers, pkgs, analyzers, lint.DefaultConfig(loader.Module))
+	diags, err := lint.RunParallel(context.Background(), *workers, pkgs, analyzers, lint.DefaultConfig(loader.Module))
 	if err != nil {
 		fail(err)
-	}
-
-	if *factsOut != "" {
-		if err := writeFacts(*factsOut, facts); err != nil {
-			fail(err)
-		}
 	}
 
 	fixed := 0
@@ -160,41 +153,19 @@ func main() {
 	}
 }
 
-// writeFacts renders the exported facts as JSON to path ('-' = stdout).
-func writeFacts(path string, facts []lint.FactLine) error {
-	if facts == nil {
-		facts = []lint.FactLine{}
-	}
-	raw, err := json.MarshalIndent(facts, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if path == "-" {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
-}
-
-// targetPaths expands the command arguments into module import paths:
-// no arguments or "./..." selects every module package; anything else
-// is a package directory relative to the working directory.
+// targetPaths expands the command arguments into module import paths.
+// An argument ending in "..." selects every module package at or below
+// its directory and must match at least one; any other argument is one
+// package directory. Paths are relative to the working directory; no
+// arguments selects the whole module.
 func targetPaths(loader *lint.Loader, args []string) ([]string, error) {
 	if len(args) == 0 {
 		return loader.ModulePackages()
 	}
-	var out []string
+	var all, out []string
 	for _, arg := range args {
-		if arg == "./..." || arg == "..." {
-			all, err := loader.ModulePackages()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, all...)
-			continue
-		}
-		abs, err := filepath.Abs(arg)
+		dir, tree := strings.CutSuffix(arg, "...")
+		abs, err := filepath.Abs(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +173,27 @@ func targetPaths(loader *lint.Loader, args []string) ([]string, error) {
 		if err != nil || strings.HasPrefix(rel, "..") {
 			return nil, fmt.Errorf("package %q is outside module %s", arg, loader.Module)
 		}
-		if rel == "." {
-			out = append(out, loader.Module)
-		} else {
-			out = append(out, loader.Module+"/"+filepath.ToSlash(rel))
+		path := loader.Module
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		if !tree {
+			out = append(out, path)
+			continue
+		}
+		if all == nil {
+			if all, err = loader.ModulePackages(); err != nil {
+				return nil, err
+			}
+		}
+		n := len(out)
+		for _, p := range all {
+			if p == path || strings.HasPrefix(p, path+"/") {
+				out = append(out, p)
+			}
+		}
+		if len(out) == n {
+			return nil, fmt.Errorf("pattern %q matches no package", arg)
 		}
 	}
 	return out, nil

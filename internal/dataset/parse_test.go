@@ -95,3 +95,40 @@ func TestParseKind(t *testing.T) {
 		t.Error("ParseKind accepted an unknown name")
 	}
 }
+
+// FuzzParseJSON fuzzes the decoder every checkpoint chunk and peer
+// answer goes through. Any input ParseJSON accepts must re-encode to
+// bytes that parse again and re-encode identically: the encoded form is
+// a fixed point of WriteJSON∘ParseJSON, so a dataset crossing the wire
+// or a checkpoint any number of times never drifts.
+func FuzzParseJSON(f *testing.F) {
+	raw, err := sample().JSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add([]byte(`{"name":"e","title":"","meta":{},"columns":[{"name":"n","kind":"int"}],"rows":[]}`))
+	f.Add([]byte(`{"name":"x","columns":[{"name":"a","kind":"float"}],"rows":[[1e308],[-0],[5e-324]],"notes":[]}`))
+	f.Add([]byte(`{"name":"x","columns":[{"name":"a","kind":"int"}],"rows":[[1.5]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, err := ParseJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first, err := ds.JSON()
+		if err != nil {
+			t.Fatalf("accepted dataset does not encode: %v\n%s", err, data)
+		}
+		again, err := ParseJSON(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("re-encoded dataset does not parse: %v\n%s", err, first)
+		}
+		second, err := again.JSON()
+		if err != nil {
+			t.Fatalf("re-parsed dataset does not encode: %v\n%s", err, first)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding is not stable:\n%s\nvs\n%s", first, second)
+		}
+	})
+}

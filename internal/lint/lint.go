@@ -5,13 +5,11 @@
 // machine-checked rules.
 //
 // The framework runs each Analyzer over a fully type-checked package.
-// An analyzer may export facts — typed data attached to objects — that
-// passes over downstream packages import, so rules can reason across
-// package boundaries (see Fact). Packages are analyzed in
-// dependency order, independent packages in parallel on the internal/par
-// pool, and the diagnostic stream is byte-identical at every worker
-// count. Diagnostics may carry SuggestedFixes that the cmd/nwlint driver
-// applies with -fix (or previews with -diff).
+// Every rule is decided from one package alone, so packages are analyzed
+// independently, in parallel on the internal/par pool, and the
+// diagnostic stream is byte-identical at every worker count. Diagnostics
+// may carry SuggestedFixes that the cmd/nwlint driver applies with -fix
+// (or previews with -diff).
 //
 // The invariants the analyzers protect are the ones the paper
 // reproduction depends on:
@@ -30,8 +28,10 @@
 //     renderers; library packages return data (rule "printbound");
 //   - scratch confinement — chunk-local scratch buffers allocated inside
 //     a par block closure never escape the chunk (rule "scratchconfine");
-//   - atomic coherence — a struct field accessed through sync/atomic
-//     anywhere is accessed atomically everywhere (rule "atomicfield");
+//   - typed atomics — atomic values are declared with the typed
+//     sync/atomic kinds, never driven through the package-level
+//     functions, so no plain access can race an atomic one (rule
+//     "typedatomic");
 //   - layering — the package DAG is pinned: the engine never imports the
 //     cluster, obs stays below the pipeline, and the text renderers are
 //     reachable only from the edges (rule "layering").
@@ -42,11 +42,12 @@
 //	//nwlint:ignore <rule> <reason>
 //
 // The reason is mandatory: an unexplained suppression is itself
-// reported. A directive that no longer suppresses anything is reported
-// as stale (with a fix that deletes it), so suppressions rot away
-// instead of accumulating. The cmd/nwlint driver applies the analyzers
-// to module packages; the self-tests apply them to fixture packages
-// under testdata/src with expected-diagnostic annotations.
+// reported, as is one naming a rule that does not exist. A directive
+// that no longer suppresses anything is reported as stale (with a fix
+// that deletes it), so suppressions rot away instead of accumulating.
+// The cmd/nwlint driver applies the analyzers to module packages; the
+// self-tests apply them to fixture packages under testdata/src with
+// expected-diagnostic annotations.
 package lint
 
 import (
@@ -75,7 +76,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, CtxFirst, NoGoroutine, ErrCheck, PrintBound,
-		ScratchConfine, AtomicField, Layering,
+		ScratchConfine, TypedAtomic, Layering,
 	}
 }
 
@@ -88,23 +89,32 @@ func ByName(list string) ([]*Analyzer, error) {
 		if name == "" {
 			continue
 		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
+		a := lookup(name)
+		if a == nil {
+			return nil, fmt.Errorf("lint: unknown rule %q (known: %s)", name, knownRules())
 		}
-		if !found {
-			known := make([]string, 0, len(All()))
-			for _, a := range All() {
-				known = append(known, a.Name)
-			}
-			return nil, fmt.Errorf("lint: unknown rule %q (known: %s)", name, strings.Join(known, ", "))
-		}
+		out = append(out, a)
 	}
 	return out, nil
+}
+
+// lookup returns the analyzer named name, or nil for an unknown rule.
+func lookup(name string) *Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// knownRules lists the rule names for error messages.
+func knownRules() string {
+	names := make([]string, 0, len(All()))
+	for _, a := range All() {
+		names = append(names, a.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // TextEdit is one span replacement of a suggested fix. Pos and End are
@@ -152,7 +162,8 @@ type Pass struct {
 	Path string
 	// Pkg is the type-checked package.
 	Pkg *types.Package
-	// Info holds the type-checker fact tables for the package files.
+	// Info holds the type-checker tables (types, defs, uses, selections)
+	// for the package files.
 	Info *types.Info
 	// Files are the parsed source files, comments included.
 	Files []*ast.File
@@ -162,8 +173,6 @@ type Pass struct {
 
 	rule  string
 	diags *[]Diagnostic
-	store *factStore
-	facts *pkgFacts
 }
 
 // Reportf records a diagnostic at pos under the running rule.
@@ -184,25 +193,4 @@ func (p *Pass) Report(pos token.Pos, message string, fixes ...SuggestedFix) {
 		Message:  message,
 		Fixes:    fixes,
 	})
-}
-
-// ExportObjectFact attaches a fact to obj for downstream passes. Facts
-// may only be exported for objects of the pass's own package — the
-// package that declares an object is the authority on it; exports for
-// foreign objects are dropped.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts == nil || obj == nil || obj.Pkg() != p.Pkg {
-		return
-	}
-	p.facts.exportObject(obj, f)
-}
-
-// ImportObjectFact copies the fact of f's concrete type previously
-// exported for obj (by this pass or an upstream package's pass) into f
-// and reports whether one was found. f must be a non-nil pointer.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.store == nil || obj == nil {
-		return false
-	}
-	return p.store.importObject(obj, f)
 }

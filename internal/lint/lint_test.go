@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -103,6 +104,7 @@ func TestAnalyzers(t *testing.T) {
 		{"printbound", "nwdec/internal/geometry", "printbound"},
 		{"printbound_main", "nwdec/cmd/fixture", "printbound"},
 		{"ctxfirst_alias", "nwdec/internal/sweep", "ctxfirst"},
+		{"typedatomic", "nwdec/internal/engine", "typedatomic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -189,6 +191,55 @@ func TestStaleDirectives(t *testing.T) {
 	}
 	if len(d.Fixes) != 1 || len(d.Fixes[0].Edits) != 1 {
 		t.Errorf("stale directive carries no deletion fix: %+v", d.Fixes)
+	}
+}
+
+// TestUnknownRuleDirectives pins the unknown-rule check: a directive
+// naming a rule nwlint does not have is reported with a deletion fix
+// whichever rules ran, and suppresses nothing; a directive for a known
+// rule left out of the run (determinism under -rules errcheck) is not
+// reported.
+func TestUnknownRuleDirectives(t *testing.T) {
+	loader := newTestLoader(t)
+	cfg := lint.DefaultConfig(loader.Module)
+	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "unknownrule"), "nwdec/internal/code")
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := `11: ignore: directive names unknown rule "determinsm" and suppresses nothing`
+	retired := `17: ignore: directive names unknown rule "atomicfield" and suppresses nothing`
+	for _, tc := range []struct {
+		rules string
+		want  []string
+	}{
+		{"determinism", []string{typo, "12: determinism: time.Now reads the wall clock", retired}},
+		{"errcheck", []string{typo, retired}},
+	} {
+		analyzers, err := lint.ByName(tc.rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags := lint.Run([]*lint.Package{pkg}, analyzers, cfg)
+		if len(diags) != len(tc.want) {
+			t.Fatalf("-rules %s: got %d diagnostics, want %d:\n%v", tc.rules, len(diags), len(tc.want), diags)
+		}
+		for i, d := range diags {
+			if got := fmt.Sprintf("%d: %s: %s", d.Position.Line, d.Rule, d.Message); !strings.HasPrefix(got, tc.want[i]) {
+				t.Errorf("-rules %s: diagnostic %d = %q, want prefix %q", tc.rules, i, got, tc.want[i])
+			}
+		}
+		files, err := lint.ApplyFixes(loader.Fset, diags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 1 || files[0].Applied != 2 {
+			t.Fatalf("-rules %s: fixes = %+v, want the two unknown-rule deletions", tc.rules, files)
+		}
+		fixed := string(files[0].New)
+		if strings.Contains(fixed, "determinsm") || strings.Contains(fixed, "atomicfield") ||
+			!strings.Contains(fixed, "//nwlint:ignore determinism boot stamp") {
+			t.Errorf("-rules %s: fixed source keeps an unknown-rule directive or lost the live one:\n%s", tc.rules, fixed)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ type Package struct {
 	Files []*ast.File
 	// Types is the type-checked package.
 	Types *types.Package
-	// Info holds the type-checker fact tables.
+	// Info holds the type-checker tables (types, defs, uses, selections).
 	Info *types.Info
 }
 

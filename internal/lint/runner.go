@@ -22,40 +22,25 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 }
 
 // RunParallel applies the analyzers to every package and returns the
-// surviving diagnostics sorted by position. Packages are analyzed in
-// dependency order — a package runs only after every package it imports
-// (within the analyzed set) has finished, so imported facts are always
-// complete — and packages with no ordering constraint between them run
-// concurrently on a bounded par pool. Diagnostic output is byte-identical
-// at every worker count: each package collects into its own slice and
-// the merged stream is fully ordered (file, line, column, rule, message).
+// surviving diagnostics sorted by position. No rule looks beyond the
+// package it runs on, so the packages are independent and run
+// concurrently on a bounded par pool. Diagnostic output is
+// byte-identical at every worker count: each package collects into its
+// own slice and the merged stream is fully ordered (file, line, column,
+// rule, message).
 //
 // Suppression directives (//nwlint:ignore rule reason) are honored per
-// package; malformed directives are reported under the pseudo-rule
-// "ignore", and well-formed directives that no longer suppress any
-// diagnostic of the rules that ran are reported as stale, with a
-// suggested fix that deletes them.
+// package; malformed directives and directives naming an unknown rule
+// are reported under the pseudo-rule "ignore", and well-formed
+// directives that no longer suppress any diagnostic of the rules that
+// ran are reported as stale, each with a suggested fix that deletes the
+// directive.
 func RunParallel(ctx context.Context, workers int, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
-	diags, _, err := RunParallelFacts(ctx, workers, pkgs, analyzers, cfg)
-	return diags, err
-}
-
-// RunParallelFacts is RunParallel, additionally returning the flattened
-// fact store — the cmd/nwlint -facts dump, and the hook tests use to
-// assert cross-package fact flow.
-func RunParallelFacts(ctx context.Context, workers int, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, []FactLine, error) {
-	store := newFactStore(pkgs)
-	perPkg := make([][]Diagnostic, len(pkgs))
-
-	for _, wave := range waves(pkgs) {
-		wave := wave
-		err := par.ForEach(ctx, workers, wave, func(_ context.Context, _ int, i int) error {
-			perPkg[i] = analyze(pkgs[i], analyzers, cfg, store)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+	perPkg, err := par.Map(ctx, workers, pkgs, func(_ context.Context, _ int, pkg *Package) ([]Diagnostic, error) {
+		return analyze(pkg, analyzers, cfg), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var diags []Diagnostic
@@ -78,15 +63,14 @@ func RunParallelFacts(ctx context.Context, workers int, pkgs []*Package, analyze
 		}
 		return a.Message < b.Message
 	})
-	return diags, store.summary(), nil
+	return diags, nil
 }
 
 // analyze runs every analyzer over one package and applies the
-// suppression pass. It touches only its own pass state, the package's
-// pre-created fact set, and — read-only — the completed fact sets of the
-// package's dependencies, so concurrent calls over independent packages
-// are race-free.
-func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config, store *factStore) []Diagnostic {
+// suppression pass. It touches only its own pass state and reads the
+// shared package data, so concurrent calls over distinct packages are
+// race-free.
+func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 	var diags []Diagnostic
 	pass := &Pass{
 		Fset:  pkg.Fset,
@@ -96,8 +80,6 @@ func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config, store *factStore)
 		Files: pkg.Files,
 		Cfg:   cfg,
 		diags: &diags,
-		store: store,
-		facts: store.byPkg[pkg.Types],
 	}
 	for _, a := range analyzers {
 		pass.rule = a.Name
@@ -108,51 +90,4 @@ func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config, store *factStore)
 		ran[a.Name] = true
 	}
 	return suppress(pkg, diags, ran)
-}
-
-// waves groups the packages into dependency levels: wave k holds the
-// packages whose analyzed dependencies all sit in waves < k, so the
-// waves can run one after another with full parallelism inside each.
-// Indices within a wave are ordered by package path, which (with the
-// final diagnostic sort) keeps the whole pipeline deterministic.
-func waves(pkgs []*Package) [][]int {
-	index := make(map[string]int, len(pkgs))
-	for i, pkg := range pkgs {
-		index[pkg.Types.Path()] = i
-	}
-	depth := make([]int, len(pkgs))
-	for i := range depth {
-		depth[i] = -1
-	}
-	var depthOf func(i int) int
-	depthOf = func(i int) int {
-		if depth[i] >= 0 {
-			return depth[i]
-		}
-		depth[i] = 0 // cycles are impossible in a type-checked import graph
-		d := 0
-		for _, imp := range pkgs[i].Types.Imports() {
-			if j, ok := index[imp.Path()]; ok && j != i {
-				if dj := depthOf(j) + 1; dj > d {
-					d = dj
-				}
-			}
-		}
-		depth[i] = d
-		return d
-	}
-	maxDepth := 0
-	for i := range pkgs {
-		if d := depthOf(i); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	out := make([][]int, maxDepth+1)
-	for i := range pkgs {
-		out[depth[i]] = append(out[depth[i]], i)
-	}
-	for _, wave := range out {
-		sort.Slice(wave, func(a, b int) bool { return pkgs[wave[a]].Path < pkgs[wave[b]].Path })
-	}
-	return out
 }

@@ -49,42 +49,9 @@ func TestLayering(t *testing.T) {
 	matchDiagnostics(t, diags, wants(t, pkg))
 }
 
-// TestAtomicFactFlow pins the cross-package fact pipeline: the pass over
-// the defining fixture exports an AtomicFieldFact for the atomically
-// accessed field, and the pass over the importing fixture flags its
-// plain access purely through the imported fact. The packages are passed
-// to the runner in reverse dependency order to prove the wave scheduler
-// reorders them.
-func TestAtomicFactFlow(t *testing.T) {
-	loader := newTestLoader(t)
-	def := loadFixture(t, loader, "atomicdef", "nwdec/internal/atomicdef")
-	use := loadFixture(t, loader, "atomicuse", "nwdec/internal/atomicuse")
-	analyzers, err := lint.ByName("atomicfield")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, facts, err := lint.RunParallelFacts(context.Background(), 2,
-		[]*lint.Package{use, def}, analyzers, lint.DefaultConfig(loader.Module))
-	if err != nil {
-		t.Fatal(err)
-	}
-	matchDiagnostics(t, diags, append(wants(t, def), wants(t, use)...))
-
-	want := lint.FactLine{Package: "nwdec/internal/atomicdef", Object: "Counters.Hits", Fact: "AtomicFieldFact"}
-	found := false
-	for _, f := range facts {
-		if f == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("fact summary %v does not contain %v", facts, want)
-	}
-}
-
 // TestWorkersByteIdentical pins the runner's determinism contract: the
 // rendered diagnostic stream over a mixed set of real and fixture
-// packages (multiple dependency waves, non-empty diagnostics) is
+// packages (some importing others, non-empty diagnostics) is
 // byte-identical at every worker count.
 func TestWorkersByteIdentical(t *testing.T) {
 	loader := newTestLoader(t)
@@ -131,13 +98,13 @@ func TestWorkersByteIdentical(t *testing.T) {
 }
 
 // TestConcurrentAnalysis runs all analyzers concurrently over
-// independent copies of a fixture package — one wave, multiple workers —
+// independent copies of a fixture package — one package per worker —
 // so `go test -race ./internal/lint` exercises the shared state of the
-// runner (fact store, file set, config) under real parallelism.
+// runner (file set, imported types, config) under real parallelism.
 func TestConcurrentAnalysis(t *testing.T) {
 	loader := newTestLoader(t)
 	// Independent copies of the same sources under distinct deterministic
-	// paths: no import edges between them, so they share one wave.
+	// paths, analyzed side by side.
 	paths := []string{"nwdec/internal/code", "nwdec/internal/mspt", "nwdec/internal/physics"}
 	var pkgs []*lint.Package
 	for _, p := range paths {

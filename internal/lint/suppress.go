@@ -18,12 +18,13 @@ type directive struct {
 const ignorePrefix = "//nwlint:ignore"
 
 // suppress drops diagnostics covered by a well-formed ignore directive
-// on the same line or the line above, reports malformed directives under
-// the pseudo-rule "ignore", and reports well-formed directives that
-// suppressed nothing as stale — but only when the directive's rule was
-// among the rules that ran (ran), so a -rules subset run never
-// misclassifies a live suppression. Both malformed and stale reports
-// carry a fix that deletes the directive.
+// on the same line or the line above, reports malformed directives and
+// directives naming an unknown rule under the pseudo-rule "ignore", and
+// reports well-formed directives that suppressed nothing as stale — but
+// only when the directive's rule was among the rules that ran (ran), so a
+// -rules subset run never misclassifies a live suppression. An unknown
+// rule never runs, so its directive is reported whatever ran. Every
+// report carries a fix that deletes the directive.
 func suppress(pkg *Package, diags []Diagnostic, ran map[string]bool) []Diagnostic {
 	var dirs []*directive
 	var extra []Diagnostic
@@ -68,13 +69,19 @@ func suppress(pkg *Package, diags []Diagnostic, ran map[string]bool) []Diagnosti
 		diags = kept
 	}
 	for _, dir := range dirs {
-		if dir.matched || !ran[dir.rule] {
+		var msg string
+		switch {
+		case lookup(dir.rule) == nil:
+			msg = fmt.Sprintf("directive names unknown rule %q and suppresses nothing (known: %s)", dir.rule, knownRules())
+		case !dir.matched && ran[dir.rule]:
+			msg = fmt.Sprintf("stale directive: no %s diagnostic is suppressed here anymore; delete it", dir.rule)
+		default:
 			continue
 		}
 		extra = append(extra, Diagnostic{
 			Position: pkg.Fset.Position(dir.pos.Pos()),
 			Rule:     "ignore",
-			Message:  fmt.Sprintf("stale directive: no %s diagnostic is suppressed here anymore; delete it", dir.rule),
+			Message:  msg,
 			Fixes:    []SuggestedFix{deleteComment(dir.pos)},
 		})
 	}

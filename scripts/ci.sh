@@ -13,10 +13,10 @@
 #          4. go run ./cmd/nwlint ./...  — the project-invariant analyzer;
 #             the tree must be free of diagnostics under all eight rules
 #             (determinism, ctxfirst, nogoroutine, errcheck, printbound,
-#             scratchconfine, atomicfield, layering). The JSON report
-#             lands in ci-artifacts/nwlint.json and a `-diff` dry run
-#             asserts the tree is fix-clean (no suggested fix left
-#             unapplied)
+#             scratchconfine, typedatomic, layering). The JSON report
+#             lands in ci-artifacts/nwlint.json; zero diagnostics also
+#             means fix-clean, since a suggested fix only exists on a
+#             diagnostic
 #
 #   test   5. go test -race -count=1 ./...  — full suite under the race
 #             detector, cache disabled; this is what keeps internal/par,
@@ -127,16 +127,8 @@ run_vet() {
 }
 
 run_nwlint() {
+	# Exit 0 means zero diagnostics, so the tree is also fix-clean.
 	gate "$artifacts/nwlint.json" go run ./cmd/nwlint -json ./...
-	# Fix-clean dry run: the tree must not carry an unapplied suggested
-	# fix. The -json gate above already fails on any diagnostic; here we
-	# tolerate the exit status and assert the diff preview is empty.
-	diff_out="$(go run ./cmd/nwlint -diff ./... || true)"
-	if [ -n "$diff_out" ]; then
-		echo "nwlint: tree is not fix-clean; run 'go run ./cmd/nwlint -fix ./...':" >&2
-		echo "$diff_out" >&2
-		return 1
-	fi
 }
 
 run_tests() {
