@@ -51,7 +51,7 @@ func BenchmarkFig5(b *testing.B) {
 // for binary TC/GC/BGC at code lengths 8 and 10, N=20.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		surfaces, err := experiments.Fig6(experiments.Fig6N, []int{8, 10})
+		surfaces, err := experiments.Fig6Workers(context.Background(), experiments.Fig6N, []int{8, 10}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFig6(b *testing.B) {
 // over lengths 6/8/10 and HC vs AHC over 4/6/8 on the 16 kbit platform.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig7(core.Config{})
+		points, err := experiments.Fig7Workers(context.Background(), core.Config{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func BenchmarkFig7(b *testing.B) {
 // families over their length grids.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig8(core.Config{})
+		points, err := experiments.Fig8Workers(context.Background(), core.Config{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkFig8(b *testing.B) {
 // (abstract/conclusion numbers).
 func BenchmarkHeadline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		claims, err := experiments.Headline(core.Config{})
+		claims, err := experiments.HeadlineWorkers(context.Background(), core.Config{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkHeadline(b *testing.B) {
 // full 128x128 crossbar fabrications compared against the analytic model.
 func BenchmarkMonteCarloValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MonteCarlo(core.Config{}, 1, uint64(i)); err != nil {
+		if _, err := experiments.MonteCarloWorkers(context.Background(), core.Config{}, 1, uint64(i), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -452,7 +452,7 @@ func BenchmarkFunctionalLayer(b *testing.B) {
 	rng := stats.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := crossbar.BuildLayer(dec, d.Layout.Contact, 128, d.Config.SigmaT, rng); err != nil {
+		if _, err := crossbar.BuildLayerWorkers(context.Background(), dec, d.Layout.Contact, 128, d.Config.SigmaT, rng, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,11 +463,11 @@ func BenchmarkMemoryReadWrite(b *testing.B) {
 	d, _ := core.NewDesign(core.Config{CodeType: code.TypeBalancedGray})
 	dec, _ := crossbar.NewDecoder(d.Plan, d.Quantizer)
 	rng := stats.NewRNG(2)
-	rows, err := crossbar.BuildLayer(dec, d.Layout.Contact, 128, 0, rng)
+	rows, err := crossbar.BuildLayerWorkers(context.Background(), dec, d.Layout.Contact, 128, 0, rng, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cols, _ := crossbar.BuildLayer(dec, d.Layout.Contact, 128, 0, rng)
+	cols, _ := crossbar.BuildLayerWorkers(context.Background(), dec, d.Layout.Contact, 128, 0, rng, 0)
 	mem := crossbar.NewMemory(rows, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -518,7 +518,7 @@ func BenchmarkRegionProb(b *testing.B) {
 // ablation): counting vs random vs Gray orders of one code space.
 func BenchmarkAblationArrangement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationArrangement([]uint64{1, 2, 3}); err != nil {
+		if _, err := experiments.AblationArrangementWorkers(context.Background(), []uint64{1, 2, 3}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -527,7 +527,7 @@ func BenchmarkAblationArrangement(b *testing.B) {
 // BenchmarkAblationMargin times the margin-factor sensitivity sweep.
 func BenchmarkAblationMargin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMargin([]float64{0.4, 0.7, 1.0}); err != nil {
+		if _, err := experiments.AblationMarginWorkers(context.Background(), []float64{0.4, 0.7, 1.0}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -555,7 +555,7 @@ func BenchmarkNoiseStudy(b *testing.B) {
 // BenchmarkReadoutStudy times the analog sensing extension.
 func BenchmarkReadoutStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Readout(context.Background(), core.Config{}, 10, uint64(i)); err != nil {
+		if _, err := experiments.ReadoutWorkers(context.Background(), core.Config{}, 10, uint64(i), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -615,7 +615,7 @@ func BenchmarkReportGeneration(b *testing.B) {
 // Fig. 7/8 grid.
 func BenchmarkSweepGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := sweep.Run(context.Background(), core.Config{}, sweep.Grid{})
+		rows, err := sweep.RunWorkers(context.Background(), core.Config{}, sweep.Grid{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

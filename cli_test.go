@@ -421,5 +421,15 @@ func TestCLIStructuredOutput(t *testing.T) {
 		if code != 1 {
 			t.Errorf("unknown experiment: exit %d, want 1", code)
 		}
+		// A design parameter no configuration can be built from is a bad
+		// flag value, not a computation failure.
+		code, stderr = runFail(t, buildCmd(t, dir, "nwdecoder"), "-length", "7")
+		if code != 2 {
+			t.Errorf("nwdecoder -length 7: exit %d, want 2 (%s)", code, stderr)
+		}
+		code, stderr = runFail(t, buildCmd(t, dir, "nwsweep"), "-lengths", "5")
+		if code != 2 {
+			t.Errorf("nwsweep -lengths 5: exit %d, want 2 (%s)", code, stderr)
+		}
 	})
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,22 +29,11 @@ func main() {
 		set.Passes, set.DistinctMasks(), set.ReuseFactor())
 
 	// Fabricate both layers.
-	dec, err := crossbar.NewDecoder(design.Plan, design.Quantizer)
-	if err != nil {
-		log.Fatal(err)
-	}
 	rng := stats.NewRNG(4242)
-	rows, err := crossbar.BuildLayer(dec, design.Layout.Contact,
-		design.Layout.WiresPerLayer, design.Config.SigmaT, rng)
+	mem, err := design.FabricateWorkers(context.Background(), rng, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cols, err := crossbar.BuildLayer(dec, design.Layout.Contact,
-		design.Layout.WiresPerLayer, design.Config.SigmaT, rng)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mem := crossbar.NewMemory(rows, cols)
 	fmt.Printf("\nfabricated: %.1f%% of crosspoints usable (hard defects mapped out)\n",
 		100*mem.UsableFraction())
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,8 +39,8 @@ func main() {
 			const reps = 3
 			sum := 0.0
 			for rep := 0; rep < reps; rep++ {
-				layer, err := crossbar.BuildLayer(dec, design.Layout.Contact,
-					design.Layout.WiresPerLayer, sigma, rng)
+				layer, err := crossbar.BuildLayerWorkers(context.Background(), dec,
+					design.Layout.Contact, design.Layout.WiresPerLayer, sigma, rng, 0)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,14 +26,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := stats.NewRNG(2009)
-	rows, err := crossbar.BuildLayer(dec, design.Layout.Contact,
-		design.Layout.WiresPerLayer, design.Config.SigmaT, rng)
+	ctx, rng := context.Background(), stats.NewRNG(2009)
+	rows, err := crossbar.BuildLayerWorkers(ctx, dec, design.Layout.Contact,
+		design.Layout.WiresPerLayer, design.Config.SigmaT, rng, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cols, err := crossbar.BuildLayer(dec, design.Layout.Contact,
-		design.Layout.WiresPerLayer, design.Config.SigmaT, rng)
+	cols, err := crossbar.BuildLayerWorkers(ctx, dec, design.Layout.Contact,
+		design.Layout.WiresPerLayer, design.Config.SigmaT, rng, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

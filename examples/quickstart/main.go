@@ -30,7 +30,7 @@ func main() {
 
 	// 3. Design-space optimization: all five families, lengths 4..12.
 	best, err := core.Optimize(context.Background(), core.Config{},
-		code.AllTypes(), []int{4, 6, 8, 10, 12}, core.MinBitArea)
+		code.AllTypes(), []int{4, 6, 8, 10, 12}, core.MinBitArea, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,14 +43,14 @@ func TestEndToEndDesignFabricateOperate(t *testing.T) {
 			t.Fatalf("%v: uniqueness: %v", tp, err)
 		}
 		// Fabricate and operate a memory.
-		rng := stats.NewRNG(77)
-		rows, err := crossbar.BuildLayer(dec, design.Layout.Contact, design.Layout.WiresPerLayer,
-			design.Config.SigmaT, rng)
+		ctx, rng := context.Background(), stats.NewRNG(77)
+		rows, err := crossbar.BuildLayerWorkers(ctx, dec, design.Layout.Contact,
+			design.Layout.WiresPerLayer, design.Config.SigmaT, rng, 0)
 		if err != nil {
 			t.Fatalf("%v: rows: %v", tp, err)
 		}
-		cols, err := crossbar.BuildLayer(dec, design.Layout.Contact, design.Layout.WiresPerLayer,
-			design.Config.SigmaT, rng)
+		cols, err := crossbar.BuildLayerWorkers(ctx, dec, design.Layout.Contact,
+			design.Layout.WiresPerLayer, design.Config.SigmaT, rng, 0)
 		if err != nil {
 			t.Fatalf("%v: cols: %v", tp, err)
 		}
@@ -79,11 +79,11 @@ func TestEndToEndDesignFabricateOperate(t *testing.T) {
 }
 
 func TestEndToEndOptimizerAgreesWithFig8(t *testing.T) {
-	best, err := core.Optimize(context.Background(), core.Config{}, code.AllTypes(), []int{4, 6, 8, 10}, core.MinBitArea)
+	best, err := core.Optimize(context.Background(), core.Config{}, code.AllTypes(), []int{4, 6, 8, 10}, core.MinBitArea, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := experiments.Fig8(core.Config{})
+	points, err := experiments.Fig8Workers(context.Background(), core.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEndToEndAnalyticPipelineConsistency(t *testing.T) {
 	a := yield.Analyzer{SigmaT: design.Config.SigmaT,
 		Margin: design.Quantizer.Margin() * design.Config.MarginFactor}
 	manual := a.AnalyzeCrossbar(design.Plan, design.Layout)
-	points, err := experiments.Fig7(core.Config{})
+	points, err := experiments.Fig7Workers(context.Background(), core.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestEndToEndAnalyticPipelineConsistency(t *testing.T) {
 func TestEndToEndDeterminism(t *testing.T) {
 	// The whole Monte-Carlo pipeline must be bit-reproducible from a seed.
 	run := func() float64 {
-		pts, err := experiments.MonteCarlo(core.Config{}, 2, 123)
+		pts, err := experiments.MonteCarloWorkers(context.Background(), core.Config{}, 2, 123, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

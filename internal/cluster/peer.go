@@ -41,8 +41,6 @@ type Options struct {
 	// Peers maps every *other* node's ID to its base URL
 	// (e.g. "http://10.0.0.2:8080"). Self must not appear as a key.
 	Peers map[string]string
-	// VirtualNodes is the ring multiplicity (0 = DefaultVirtualNodes).
-	VirtualNodes int
 	// Timeout bounds one peer fetch (0 = DefaultPeerTimeout).
 	Timeout time.Duration
 	// Client issues the peer requests (nil = a private default client).
@@ -74,7 +72,6 @@ type PeerBackend struct {
 
 	requests atomic.Int64
 	remote   atomic.Int64
-	fallback atomic.Int64
 	errors   atomic.Int64
 }
 
@@ -97,7 +94,7 @@ func NewPeerBackend(local engine.Backend, opts Options) (*PeerBackend, error) {
 		nodes = append(nodes, id)
 		peers[id] = strings.TrimSuffix(base, "/")
 	}
-	ring, err := NewRing(nodes, opts.VirtualNodes)
+	ring, err := NewRing(nodes, 0)
 	if err != nil {
 		return nil, nwerr.Invalid(err)
 	}
@@ -153,7 +150,6 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 	resp, err := b.fetch(ctx, base, req, key)
 	if err != nil {
 		b.errors.Add(1)
-		b.fallback.Add(1)
 		reg := obs.From(ctx)
 		reg.Counter("cluster/peer/errors").Add(1)
 		reg.Counter("cluster/peer/fallback_local").Add(1)

@@ -101,7 +101,7 @@ func TestPaperOrderingHolds(t *testing.T) {
 }
 
 func TestSweepSkipsInvalidLengths(t *testing.T) {
-	pts, err := Sweep(Config{}, []code.Type{code.TypeGray, code.TypeHot}, []int{4, 6, 7, 8})
+	pts, err := SweepWorkers(context.Background(), Config{}, []code.Type{code.TypeGray, code.TypeHot}, []int{4, 6, 7, 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSweepSkipsInvalidLengths(t *testing.T) {
 }
 
 func TestSweepAllInvalid(t *testing.T) {
-	if _, err := Sweep(Config{}, []code.Type{code.TypeGray}, []int{3, 5}); err == nil {
+	if _, err := SweepWorkers(context.Background(), Config{}, []code.Type{code.TypeGray}, []int{3, 5}, 0); err == nil {
 		t.Error("all-invalid sweep should error")
 	}
 }
@@ -125,7 +125,7 @@ func TestSweepAllInvalid(t *testing.T) {
 func TestOptimizeMinBitArea(t *testing.T) {
 	types := []code.Type{code.TypeTree, code.TypeGray, code.TypeBalancedGray, code.TypeHot, code.TypeArrangedHot}
 	lengths := []int{4, 6, 8, 10}
-	best, err := Optimize(context.Background(), Config{}, types, lengths, MinBitArea)
+	best, err := Optimize(context.Background(), Config{}, types, lengths, MinBitArea, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestOptimizeMinBitArea(t *testing.T) {
 		t.Errorf("optimizer picked %v, expected an optimized code family", tp)
 	}
 	// Exhaustively confirm optimality.
-	pts, err := Sweep(Config{}, types, lengths)
+	pts, err := SweepWorkers(context.Background(), Config{}, types, lengths, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestOptimizeMinBitArea(t *testing.T) {
 
 func TestOptimizeMaxYield(t *testing.T) {
 	types := []code.Type{code.TypeTree, code.TypeBalancedGray}
-	best, err := Optimize(context.Background(), Config{}, types, []int{6, 8, 10}, MaxYield)
+	best, err := Optimize(context.Background(), Config{}, types, []int{6, 8, 10}, MaxYield, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Config.CodeType != code.TypeBalancedGray {
 		t.Errorf("max-yield winner %v, want BGC", best.Config.CodeType)
 	}
-	pts, _ := Sweep(Config{}, types, []int{6, 8, 10})
+	pts, _ := SweepWorkers(context.Background(), Config{}, types, []int{6, 8, 10}, 0)
 	for _, p := range pts {
 		if p.Design.Yield() > best.Yield()+1e-12 {
 			t.Error("optimizer missed higher-yield design")
@@ -166,7 +166,7 @@ func TestOptimizeMaxYield(t *testing.T) {
 func TestOptimizeMinPhi(t *testing.T) {
 	// Ternary logic: Gray must win the Φ objective against the tree code.
 	cfg := Config{Base: 3}
-	best, err := Optimize(context.Background(), cfg, []code.Type{code.TypeTree, code.TypeGray}, []int{6, 8}, MinPhi)
+	best, err := Optimize(context.Background(), cfg, []code.Type{code.TypeTree, code.TypeGray}, []int{6, 8}, MinPhi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +176,17 @@ func TestOptimizeMinPhi(t *testing.T) {
 }
 
 func TestValidLength(t *testing.T) {
-	if !validLength(code.TypeGray, 2, 8) || validLength(code.TypeGray, 2, 7) {
+	if !ValidLength(code.TypeGray, 2, 8) || ValidLength(code.TypeGray, 2, 7) {
 		t.Error("tree-family length rule wrong")
 	}
-	if !validLength(code.TypeHot, 3, 6) || validLength(code.TypeHot, 3, 8) {
+	if !ValidLength(code.TypeHot, 3, 6) || ValidLength(code.TypeHot, 3, 8) {
 		t.Error("hot-family length rule wrong")
 	}
-	if validLength(code.TypeGray, 2, 0) {
+	if ValidLength(code.TypeGray, 2, 0) {
 		t.Error("zero length accepted")
 	}
 	// Base defaulting inside validLength.
-	if !validLength(code.TypeHot, 0, 6) {
+	if !ValidLength(code.TypeHot, 0, 6) {
 		t.Error("default base not applied")
 	}
 }

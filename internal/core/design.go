@@ -14,6 +14,7 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/geometry"
 	"nwdec/internal/mspt"
+	"nwdec/internal/nwerr"
 	"nwdec/internal/physics"
 	"nwdec/internal/yield"
 )
@@ -103,28 +104,30 @@ type Design struct {
 // code generator comes from the process-wide memoization cache: the same
 // arrangement search (notably the balanced-Gray and arranged-hot
 // backtracking) is re-derived by every figure and sweep, so it is paid once
-// per (type, base, length) per process.
+// per (type, base, length) per process. NewDesign is a pure function of
+// cfg, so every error it returns names a configuration that cannot be built
+// and is classified nwerr.Invalid.
 func NewDesign(cfg Config) (*Design, error) {
 	cfg = cfg.WithDefaults()
 	gen, err := code.Cached(cfg.CodeType, cfg.Base, cfg.CodeLength)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nwerr.Invalidf("core: %w", err)
 	}
 	q, err := physics.NewQuantizer(cfg.Model, cfg.Base, cfg.VMin, cfg.VMax)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nwerr.Invalidf("core: %w", err)
 	}
 	plan, err := mspt.NewPlanFromGenerator(gen, cfg.Spec.HalfCaveWires, q, cfg.DoseUnit)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nwerr.Invalidf("core: %w", err)
 	}
 	layout, err := geometry.NewLayout(cfg.Spec, cfg.CodeLength, gen.SpaceSize())
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nwerr.Invalidf("core: %w", err)
 	}
 	analyzer := yield.Analyzer{SigmaT: cfg.SigmaT, Margin: q.Margin() * cfg.MarginFactor}
 	if err := analyzer.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nwerr.Invalidf("core: %w", err)
 	}
 	d := &Design{
 		Config:         cfg,

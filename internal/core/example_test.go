@@ -26,7 +26,7 @@ func ExampleNewDesign() {
 // code, mirroring the paper's conclusion.
 func ExampleOptimize() {
 	best, _ := core.Optimize(context.Background(), core.Config{}, code.AllTypes(),
-		[]int{4, 6, 8, 10}, core.MinBitArea)
+		[]int{4, 6, 8, 10}, core.MinBitArea, 0)
 	fmt.Printf("%s M=%d\n", best.Config.CodeType, best.Config.CodeLength)
 	// Output:
 	// AHC M=6

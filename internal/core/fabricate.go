@@ -16,16 +16,11 @@ func (d *Design) Decoder() (*crossbar.Decoder, error) {
 	return crossbar.NewDecoder(d.Plan, d.Quantizer)
 }
 
-// Fabricate builds one Monte-Carlo instance of the designed crossbar
+// FabricateWorkers builds one Monte-Carlo instance of the designed crossbar
 // memory: both layers are fabricated with the design's variability and the
-// layout's contact partition.
-func (d *Design) Fabricate(rng *stats.RNG) (*crossbar.Memory, error) {
-	return d.FabricateWorkers(context.Background(), rng, 0)
-}
-
-// FabricateWorkers is Fabricate with a cancellation context and an explicit
-// worker count for the layer builds (<= 0 means GOMAXPROCS). The memory is
-// bit-identical at every worker count for the same rng state.
+// layout's contact partition. The layer builds run on the par pool with the
+// given worker count (<= 0 means GOMAXPROCS) and stop when ctx is cancelled.
+// The memory is bit-identical at every worker count for the same rng state.
 func (d *Design) FabricateWorkers(ctx context.Context, rng *stats.RNG, workers int) (*crossbar.Memory, error) {
 	dec, err := d.Decoder()
 	if err != nil {
@@ -42,21 +37,16 @@ func (d *Design) FabricateWorkers(ctx context.Context, rng *stats.RNG, workers i
 	return crossbar.NewMemory(rows, cols), nil
 }
 
-// MonteCarloYield measures the mean usable crosspoint fraction over trials
-// independent fabrications — the empirical counterpart of the analytic Y².
-// It runs on the default worker pool.
-func (d *Design) MonteCarloYield(trials int, seed uint64) (float64, error) {
-	return d.MonteCarloYieldWorkers(context.Background(), trials, seed, 0)
-}
-
-// MonteCarloYieldWorkers is MonteCarloYield with a cancellation context and
-// an explicit worker count (<= 0 means GOMAXPROCS). Each trial fabricates
-// from its own jump substream of the seed and the mean is reduced in trial
-// order, so the result is bit-identical at every worker count. Trials are
-// scheduled in contiguous chunks, and each chunk materializes only its own
-// block of substreams through the lazy fan-out — no worker count pays the
-// up-front cost of jumping out all trials eagerly. Cancelling ctx abandons
-// unfinished trials and returns ctx's error.
+// MonteCarloYieldWorkers measures the mean usable crosspoint fraction over
+// trials independent fabrications — the empirical counterpart of the
+// analytic Y² — on the par pool with the given worker count (<= 0 means
+// GOMAXPROCS). Each trial fabricates from its own jump substream of the seed
+// and the mean is reduced in trial order, so the result is bit-identical at
+// every worker count. Trials are scheduled in contiguous chunks, and each
+// chunk materializes only its own block of substreams through the lazy
+// fan-out — no worker count pays the up-front cost of jumping out all trials
+// eagerly. Cancelling ctx abandons unfinished trials and returns ctx's
+// error.
 func (d *Design) MonteCarloYieldWorkers(ctx context.Context, trials int, seed uint64, workers int) (float64, error) {
 	if trials <= 0 {
 		return 0, fmt.Errorf("core: non-positive trial count %d", trials)

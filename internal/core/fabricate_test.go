@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestDesignFabricate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := d.Fabricate(stats.NewRNG(1))
+	mem, err := d.FabricateWorkers(context.Background(), stats.NewRNG(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestDesignMonteCarloYieldMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := d.MonteCarloYield(5, 17)
+	mc, err := d.MonteCarloYieldWorkers(context.Background(), 5, 17, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +40,18 @@ func TestDesignMonteCarloYieldMatchesAnalytic(t *testing.T) {
 	if math.Abs(mc-analytic) > 0.1 {
 		t.Errorf("MC %g far from analytic %g", mc, analytic)
 	}
-	if _, err := d.MonteCarloYield(0, 1); err == nil {
+	if _, err := d.MonteCarloYieldWorkers(context.Background(), 0, 1, 0); err == nil {
 		t.Error("zero trials accepted")
 	}
 }
 
 func TestDesignMonteCarloDeterministic(t *testing.T) {
 	d, _ := NewDesign(Config{CodeType: code.TypeGray})
-	a, err := d.MonteCarloYield(3, 5)
+	a, err := d.MonteCarloYieldWorkers(context.Background(), 3, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.MonteCarloYield(3, 5)
+	b, err := d.MonteCarloYieldWorkers(context.Background(), 3, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"nwdec/internal/code"
+	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 	"nwdec/internal/par"
 )
@@ -17,19 +18,15 @@ type SweepPoint struct {
 	Design *Design
 }
 
-// Sweep evaluates the base configuration across every combination of the
-// given code types and code lengths. Combinations that are structurally
+// SweepWorkers evaluates the base configuration across every combination of
+// the given code types and code lengths on the par pool with the given
+// worker count (<= 0 means GOMAXPROCS). Combinations that are structurally
 // invalid for a family (e.g. a hot-code length not divisible by the base)
-// are skipped silently, so callers can pass one shared length grid. It runs
-// on the default worker pool.
-func Sweep(base Config, types []code.Type, lengths []int) ([]SweepPoint, error) {
-	return SweepWorkers(context.Background(), base, types, lengths, 0)
-}
-
-// SweepWorkers is Sweep with a cancellation context and an explicit worker
-// count (<= 0 means GOMAXPROCS). Every design point is a pure function of
-// the base configuration, so the output is bit-identical at every worker
-// count. Cancelling ctx abandons unfinished points and returns ctx's error.
+// are skipped silently, so callers can pass one shared length grid; a grid
+// with no valid combination is an nwerr.Invalid error. Every design point is
+// a pure function of the base configuration, so the output is bit-identical
+// at every worker count. Cancelling ctx abandons unfinished points and
+// returns ctx's error.
 func SweepWorkers(ctx context.Context, base Config, types []code.Type, lengths []int, workers int) ([]SweepPoint, error) {
 	type unit struct {
 		tp code.Type
@@ -38,7 +35,7 @@ func SweepWorkers(ctx context.Context, base Config, types []code.Type, lengths [
 	var units []unit
 	for _, tp := range types {
 		for _, m := range lengths {
-			if !validLength(tp, base.Base, m) {
+			if !ValidLength(tp, base.Base, m) {
 				continue
 			}
 			units = append(units, unit{tp: tp, m: m})
@@ -63,13 +60,16 @@ func SweepWorkers(ctx context.Context, base Config, types []code.Type, lengths [
 		return nil, err
 	}
 	if len(points) == 0 {
-		return nil, fmt.Errorf("core: sweep produced no valid configurations")
+		return nil, nwerr.Invalidf("core: sweep produced no valid configurations")
 	}
 	return points, nil
 }
 
-// validLength reports whether length m is structurally valid for the family.
-func validLength(tp code.Type, base, m int) bool {
+// ValidLength reports whether code length m is structurally valid for the
+// family at the given base (0 selects binary): reflected families need an
+// even length, the others a multiple of the base. Sweeps use it to skip the
+// (family, length) pairs of a shared grid that cannot be built.
+func ValidLength(tp code.Type, base, m int) bool {
 	if base == 0 {
 		base = 2
 	}
@@ -97,11 +97,13 @@ const (
 	MinPhi
 )
 
-// Optimize sweeps the design space and returns the best design under the
-// objective. Ties break deterministically on (type order, shorter length).
-// Cancelling ctx aborts the underlying sweep with ctx's error.
-func Optimize(ctx context.Context, base Config, types []code.Type, lengths []int, obj Objective) (*Design, error) {
-	points, err := SweepWorkers(ctx, base, types, lengths, 0)
+// Optimize sweeps the design space on the par pool with the given worker
+// count (<= 0 means GOMAXPROCS) and returns the best design under the
+// objective. Ties break deterministically on (type order, shorter length),
+// so the result is the same at every worker count. Cancelling ctx aborts
+// the underlying sweep with ctx's error.
+func Optimize(ctx context.Context, base Config, types []code.Type, lengths []int, obj Objective, workers int) (*Design, error) {
+	points, err := SweepWorkers(ctx, base, types, lengths, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestNominalAddressingWindowValidation(t *testing.T) {
 func TestAddressOf(t *testing.T) {
 	d := testDecoder(t, code.TypeGray, 8, 16)
 	contact := geometry.ContactPlan{GroupWires: 8, Groups: 2}
-	layer, err := BuildLayer(d, contact, 32, 0, stats.NewRNG(1))
+	layer, err := BuildLayerWorkers(context.Background(), d, contact, 32, 0, stats.NewRNG(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -167,7 +168,7 @@ func TestBuildLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layer, err := BuildLayer(d, contact, 128, yield.DefaultSigmaT, stats.NewRNG(3))
+	layer, err := BuildLayerWorkers(context.Background(), d, contact, 128, yield.DefaultSigmaT, stats.NewRNG(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +202,10 @@ func TestBuildLayer(t *testing.T) {
 func TestBuildLayerValidation(t *testing.T) {
 	d := testDecoder(t, code.TypeGray, 6, 8)
 	contact := geometry.ContactPlan{GroupWires: 8, Groups: 1}
-	if _, err := BuildLayer(d, contact, 0, 0.05, stats.NewRNG(1)); err == nil {
+	if _, err := BuildLayerWorkers(context.Background(), d, contact, 0, 0.05, stats.NewRNG(1), 0); err == nil {
 		t.Error("zero wires accepted")
 	}
-	if _, err := BuildLayer(d, contact, 8, -1, stats.NewRNG(1)); err == nil {
+	if _, err := BuildLayerWorkers(context.Background(), d, contact, 8, -1, stats.NewRNG(1), 0); err == nil {
 		t.Error("negative sigma accepted")
 	}
 }
@@ -213,11 +214,11 @@ func TestMemoryReadWrite(t *testing.T) {
 	d := testDecoder(t, code.TypeGray, 8, 16)
 	contact := geometry.ContactPlan{GroupWires: 16, Groups: 1}
 	rng := stats.NewRNG(11)
-	rows, err := BuildLayer(d, contact, 32, 0, rng) // zero sigma: all addressable
+	rows, err := BuildLayerWorkers(context.Background(), d, contact, 32, 0, rng, 0) // zero sigma: all addressable
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := BuildLayer(d, contact, 32, 0, rng)
+	cols, err := BuildLayerWorkers(context.Background(), d, contact, 32, 0, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +262,8 @@ func TestMemoryDefectiveAccess(t *testing.T) {
 	d := testDecoder(t, code.TypeGray, 8, 16)
 	contact := geometry.ContactPlan{GroupWires: 16, Groups: 1}
 	rng := stats.NewRNG(13)
-	rows, _ := BuildLayer(d, contact, 16, 0, rng)
-	cols, _ := BuildLayer(d, contact, 16, 0, rng)
+	rows, _ := BuildLayerWorkers(context.Background(), d, contact, 16, 0, rng, 0)
+	cols, _ := BuildLayerWorkers(context.Background(), d, contact, 16, 0, rng, 0)
 	rows.Wires[5].Addressable = false
 	m := NewMemory(rows, cols)
 	err := m.Write(5, 0, true)
@@ -310,11 +311,11 @@ func TestMemoryUsableFractionMatchesAnalyticSquare(t *testing.T) {
 	const reps = 6
 	sum := 0.0
 	for rep := 0; rep < reps; rep++ {
-		rows, err := BuildLayer(d, layout.Contact, layout.WiresPerLayer, yield.DefaultSigmaT, rng)
+		rows, err := BuildLayerWorkers(context.Background(), d, layout.Contact, layout.WiresPerLayer, yield.DefaultSigmaT, rng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols, err := BuildLayer(d, layout.Contact, layout.WiresPerLayer, yield.DefaultSigmaT, rng)
+		cols, err := BuildLayerWorkers(context.Background(), d, layout.Contact, layout.WiresPerLayer, yield.DefaultSigmaT, rng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +332,7 @@ func TestBuildLayerZeroValuedContactPlan(t *testing.T) {
 	// A zero ContactPlan must behave as a single undivided group rather
 	// than looping forever on a zero group width.
 	d := testDecoder(t, code.TypeGray, 8, 8)
-	layer, err := BuildLayer(d, geometry.ContactPlan{}, 16, 0, stats.NewRNG(1))
+	layer, err := BuildLayerWorkers(context.Background(), d, geometry.ContactPlan{}, 16, 0, stats.NewRNG(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package crossbar
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"nwdec/internal/code"
@@ -16,11 +17,11 @@ func buildTestMemory(t *testing.T, defectRows, defectCols []int) *Memory {
 	d := testDecoder(t, code.TypeGray, 8, 16)
 	contact := geometry.ContactPlan{GroupWires: 16, Groups: 1}
 	rng := stats.NewRNG(5)
-	rows, err := BuildLayer(d, contact, 16, 0, rng)
+	rows, err := BuildLayerWorkers(context.Background(), d, contact, 16, 0, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := BuildLayer(d, contact, 16, 0, rng)
+	cols, err := BuildLayerWorkers(context.Background(), d, contact, 16, 0, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"context"
 	"testing"
 
 	"nwdec/internal/code"
@@ -69,11 +70,11 @@ func TestMarchEndToEndWithMonteCarloFabrication(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(21)
-	rows, err := BuildLayer(d, contact, 64, 0.05, rng)
+	rows, err := BuildLayerWorkers(context.Background(), d, contact, 64, 0.05, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := BuildLayer(d, contact, 64, 0.05, rng)
+	cols, err := BuildLayerWorkers(context.Background(), d, contact, 64, 0.05, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

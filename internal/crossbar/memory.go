@@ -37,22 +37,16 @@ type Layer struct {
 	Wires   []Wire
 }
 
-// BuildLayer fabricates a layer: it stamps the decoder plan into as many
-// half caves as needed to cover wires nanowires, samples each half cave's
-// threshold voltages independently, marks boundary-ambiguous wires and
-// resolves functional addressability group by group. Half caves are
-// resolved on the default worker pool; the output is bit-identical to the
-// serial path for the same rng state.
-func BuildLayer(d *Decoder, contact geometry.ContactPlan, wires int, sigmaT float64, rng *stats.RNG) (*Layer, error) {
-	return BuildLayerWorkers(context.Background(), d, contact, wires, sigmaT, rng, 0)
-}
-
-// BuildLayerWorkers is BuildLayer with a cancellation context and an
-// explicit worker count (<= 0 means GOMAXPROCS, 1 is the serial path). Every
-// half cave's generator is forked from rng up front in cave order — exactly
-// the draws the serial loop makes — so the fabricated layer is bit-identical
-// at every worker count, and rng is left in the same state. Cancelling ctx
-// abandons unfinished caves and returns ctx's error.
+// BuildLayerWorkers fabricates a layer: it stamps the decoder plan into as
+// many half caves as needed to cover wires nanowires, samples each half
+// cave's threshold voltages independently, marks boundary-ambiguous wires
+// and resolves functional addressability group by group. Half caves are
+// resolved on the par pool with the given worker count (<= 0 means
+// GOMAXPROCS, 1 is the serial path). Every half cave's generator is forked
+// from rng up front in cave order — exactly the draws the serial loop makes
+// — so the fabricated layer is bit-identical at every worker count, and rng
+// is left in the same state. Cancelling ctx abandons unfinished caves and
+// returns ctx's error.
 func BuildLayerWorkers(ctx context.Context, d *Decoder, contact geometry.ContactPlan, wires int, sigmaT float64, rng *stats.RNG, workers int) (*Layer, error) {
 	if wires <= 0 {
 		return nil, fmt.Errorf("crossbar: non-positive wire count %d", wires)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"nwdec/internal/experiments"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
+	"nwdec/internal/sweep"
 )
 
 // obsCtx returns a context carrying a fresh metrics registry, so tests can
@@ -365,18 +367,43 @@ func TestComputeErrorsNotCached(t *testing.T) {
 	ctx, reg := obsCtx()
 	eng := newEngine(t, engine.Options{})
 	// An odd length is structurally invalid for a reflected code family,
-	// so NewDesign fails.
-	req := engine.Request{Kind: engine.KindDesign, Config: core.Config{CodeLength: 7}}
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Do(ctx, req); err == nil {
-			t.Fatalf("attempt %d: invalid design accepted", i)
+	// so NewDesign fails; length 5 fits no family, so the sweep grid is
+	// empty. Both are requests that cannot be built: Invalid, not Internal.
+	for _, req := range []engine.Request{
+		{Kind: engine.KindDesign, Config: core.Config{CodeLength: 7}},
+		{Kind: engine.KindSweep, Grid: sweep.Grid{Lengths: []int{5}}},
+	} {
+		before := reg.Counter("engine/computes").Value()
+		for i := 0; i < 2; i++ {
+			_, err := eng.Do(ctx, req)
+			if err == nil {
+				t.Fatalf("%s attempt %d: invalid request accepted", req.Kind, i)
+			}
+			if !errors.Is(err, nwerr.ErrInvalid) {
+				t.Errorf("%s attempt %d: err = %v (class %s), want invalid", req.Kind, i, err, nwerr.ClassOf(err))
+			}
 		}
-	}
-	if got := reg.Counter("engine/computes").Value(); got != 2 {
-		t.Errorf("computes = %d, want 2 (errors must not be cached)", got)
+		if got := reg.Counter("engine/computes").Value() - before; got != 2 {
+			t.Errorf("%s: computes = %d, want 2 (errors must not be cached)", req.Kind, got)
+		}
 	}
 	if got := eng.CacheLen(); got != 0 {
 		t.Errorf("failed computation left %d cache entries", got)
+	}
+}
+
+// TestOptimizeHonorsWorkers: an optimize request's sweep runs on the
+// request's worker bound, so Workers = 1 starts no pool even where
+// GOMAXPROCS would allow one.
+func TestOptimizeHonorsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx, reg := obsCtx()
+	eng := newEngine(t, engine.Options{})
+	if _, err := eng.Do(ctx, engine.Request{Kind: engine.KindOptimize, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("par/pools").Value(); got != 0 {
+		t.Errorf("par/pools = %d at Workers = 1, want 0", got)
 	}
 }
 
@@ -425,7 +452,7 @@ func TestEngineMatchesRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := experiments.NewRunner().Run(context.Background(), "fig7")
+	direct, err := (&experiments.Runner{}).Run(context.Background(), "fig7")
 	if err != nil {
 		t.Fatal(err)
 	}

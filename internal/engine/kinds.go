@@ -56,7 +56,7 @@ func computeOptimize(ctx context.Context, req Request) (*Response, error) {
 	if len(lengths) == 0 {
 		lengths = []int{4, 6, 8, 10, 12}
 	}
-	d, err := core.Optimize(ctx, req.Config, types, lengths, req.Objective)
+	d, err := core.Optimize(ctx, req.Config, types, lengths, req.Objective, req.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func computeCodes(_ context.Context, req Request) (*Response, error) {
 	cfg := req.Config.WithDefaults()
 	gen, err := code.Cached(cfg.CodeType, cfg.Base, cfg.CodeLength)
 	if err != nil {
-		return nil, err
+		return nil, nwerr.Invalid(err)
 	}
 	n := req.Count
 	if n <= 0 {

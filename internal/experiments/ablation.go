@@ -25,17 +25,12 @@ type ArrangementPoint struct {
 	Yield float64
 }
 
-// AblationArrangement isolates the paper's core claim (Propositions 4-5):
-// over the *same* binary reflected code space (M=10, N=20), it compares the
-// counting (tree) order, seeded random orders, the Gray order and the
-// balanced Gray order. Gray arrangements must dominate every random order
-// in both Φ and ‖Σ‖₁. It runs on the default worker pool.
-func AblationArrangement(seeds []uint64) ([]ArrangementPoint, error) {
-	return AblationArrangementWorkers(context.Background(), seeds, 0)
-}
-
-// AblationArrangementWorkers is AblationArrangement with a cancellation
-// context and an explicit worker count (<= 0 means GOMAXPROCS). The random
+// AblationArrangementWorkers isolates the paper's core claim (Propositions
+// 4-5): over the *same* binary reflected code space (M=10, N=20), it
+// compares the counting (tree) order, seeded random orders, the Gray order
+// and the balanced Gray order. Gray arrangements must dominate every random
+// order in both Φ and ‖Σ‖₁. It runs on the par pool with the given worker
+// count (<= 0 means GOMAXPROCS) and stops when ctx is cancelled; the random
 // orders are drawn serially from their own seeds before the evaluations fan
 // out, so the output is bit-identical at every worker count.
 func AblationArrangementWorkers(ctx context.Context, seeds []uint64, workers int) ([]ArrangementPoint, error) {
@@ -145,16 +140,11 @@ type MarginPoint struct {
 	YieldBG float64
 }
 
-// AblationMargin sweeps the sensing-margin factor — the one calibration
-// constant of the yield model — and shows the BGC advantage over TC is
-// robust across it. It runs on the default worker pool.
-func AblationMargin(factors []float64) ([]MarginPoint, error) {
-	return AblationMarginWorkers(context.Background(), factors, 0)
-}
-
-// AblationMarginWorkers is AblationMargin with a cancellation context and
-// an explicit worker count (<= 0 means GOMAXPROCS); the output is
-// bit-identical at every worker count.
+// AblationMarginWorkers sweeps the sensing-margin factor — the one
+// calibration constant of the yield model — and shows the BGC advantage over
+// TC is robust across it. It runs on the par pool with the given worker
+// count (<= 0 means GOMAXPROCS) and stops when ctx is cancelled; the output
+// is bit-identical at every worker count.
 func AblationMarginWorkers(ctx context.Context, factors []float64, workers int) ([]MarginPoint, error) {
 	return par.Map(ctx, workers, factors,
 		func(_ context.Context, _ int, f float64) (MarginPoint, error) {
@@ -227,15 +217,10 @@ type ModelInvariance struct {
 	Invariant     bool
 }
 
-// AblationModel evaluates the model-invariance check for each tree-family
-// code on a ternary decoder (where dose magnitudes differ most between
-// models). It runs on the default worker pool.
-func AblationModel() ([]ModelInvariance, error) {
-	return AblationModelWorkers(context.Background(), 0)
-}
-
-// AblationModelWorkers is AblationModel with a cancellation context and an
-// explicit worker count (<= 0 means GOMAXPROCS); the output is
+// AblationModelWorkers evaluates the model-invariance check for each
+// tree-family code on a ternary decoder (where dose magnitudes differ most
+// between models). It runs on the par pool with the given worker count (<= 0
+// means GOMAXPROCS) and stops when ctx is cancelled; the output is
 // bit-identical at every worker count.
 func AblationModelWorkers(ctx context.Context, workers int) ([]ModelInvariance, error) {
 	const m, n = 6, 10
@@ -323,15 +308,10 @@ type BoundaryPoint struct {
 	BitArea   float64
 }
 
-// AblationBoundary sweeps the per-boundary wire loss — the second
+// AblationBoundaryWorkers sweeps the per-boundary wire loss — the second
 // calibration constant — on a short-code design (TC M=6) where contact
-// groups dominate. It runs on the default worker pool.
-func AblationBoundary(losses []int) ([]BoundaryPoint, error) {
-	return AblationBoundaryWorkers(context.Background(), losses, 0)
-}
-
-// AblationBoundaryWorkers is AblationBoundary with a cancellation context
-// and an explicit worker count (<= 0 means GOMAXPROCS); the output is
+// groups dominate. It runs on the par pool with the given worker count (<= 0
+// means GOMAXPROCS) and stops when ctx is cancelled; the output is
 // bit-identical at every worker count.
 func AblationBoundaryWorkers(ctx context.Context, losses []int, workers int) ([]BoundaryPoint, error) {
 	return par.Map(ctx, workers, losses,

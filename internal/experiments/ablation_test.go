@@ -10,7 +10,7 @@ import (
 )
 
 func TestAblationArrangementGrayDominates(t *testing.T) {
-	points, err := AblationArrangement([]uint64{1, 2, 3, 4, 5})
+	points, err := AblationArrangementWorkers(context.Background(), []uint64{1, 2, 3, 4, 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAblationArrangementGrayDominates(t *testing.T) {
 }
 
 func TestAblationMarginRobust(t *testing.T) {
-	points, err := AblationMargin([]float64{0.4, 0.7, 1.0})
+	points, err := AblationMarginWorkers(context.Background(), []float64{0.4, 0.7, 1.0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAblationMarginRobust(t *testing.T) {
 }
 
 func TestAblationModelInvariance(t *testing.T) {
-	rows, err := AblationModel()
+	rows, err := AblationModelWorkers(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAblationModelInvariance(t *testing.T) {
 }
 
 func TestAblationBoundaryMonotone(t *testing.T) {
-	points, err := AblationBoundary([]int{0, 1, 2, 4})
+	points, err := AblationBoundaryWorkers(context.Background(), []int{0, 1, 2, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestScalingTradeoff(t *testing.T) {
 
 func TestRunnerIncludesAblations(t *testing.T) {
 	ctx := context.Background()
-	r := NewRunner()
+	r := &Runner{}
 	for _, name := range []string{"arrangement", "margin", "model", "boundary", "multivalued", "scaling", "noise", "readout", "temperature", "optarrange", "masks", "spares", "sneak"} {
 		ds, err := r.Run(ctx, name)
 		if err != nil {

@@ -18,7 +18,7 @@ func TestRunCancellation(t *testing.T) {
 	// including the serial experiments that never poll ctx themselves.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRunner()
+	r := &Runner{}
 	r.MCTrials = 50
 	for _, name := range r.Names() {
 		start := time.Now()
@@ -47,7 +47,7 @@ func TestRunCancellation(t *testing.T) {
 		ctx2, cancel2 := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			heavy := NewRunner()
+			heavy := &Runner{}
 			heavy.MCTrials = tc.trials
 			_, err := heavy.Run(ctx2, tc.name)
 			done <- err

@@ -66,7 +66,7 @@ func TestRenderFig5(t *testing.T) {
 }
 
 func TestFig6SurfacesShape(t *testing.T) {
-	surfaces, err := Fig6(Fig6N, []int{8, 10})
+	surfaces, err := Fig6Workers(context.Background(), Fig6N, []int{8, 10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFig6SurfacesShape(t *testing.T) {
 }
 
 func TestRenderFig6(t *testing.T) {
-	surfaces, _ := Fig6(Fig6N, []int{8})
+	surfaces, _ := Fig6Workers(context.Background(), Fig6N, []int{8}, 0)
 	out := RenderFig6(surfaces)
 	for _, want := range []string{"Fig. 6", "TC (L=8)", "BGC (L=8)", "paper: 18%"} {
 		if !strings.Contains(out, want) {
@@ -114,7 +114,7 @@ func TestRenderFig6(t *testing.T) {
 }
 
 func TestFig7PaperShape(t *testing.T) {
-	points, err := Fig7(core.Config{})
+	points, err := Fig7Workers(context.Background(), core.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFig7PaperShape(t *testing.T) {
 }
 
 func TestRenderFig7(t *testing.T) {
-	points, _ := Fig7(core.Config{})
+	points, _ := Fig7Workers(context.Background(), core.Config{}, 0)
 	out := RenderFig7(points)
 	for _, want := range []string{"Fig. 7", "BGC vs TC at M=8", "paper: +42%"} {
 		if !strings.Contains(out, want) {
@@ -165,7 +165,7 @@ func TestRenderFig7(t *testing.T) {
 }
 
 func TestFig8PaperShape(t *testing.T) {
-	points, err := Fig8(core.Config{})
+	points, err := Fig8Workers(context.Background(), core.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestFig8PaperShape(t *testing.T) {
 }
 
 func TestRenderFig8(t *testing.T) {
-	points, _ := Fig8(core.Config{})
+	points, _ := Fig8Workers(context.Background(), core.Config{}, 0)
 	out := RenderFig8(points)
 	for _, want := range []string{"Fig. 8", "smallest bit area", "paper: 51%"} {
 		if !strings.Contains(out, want) {
@@ -223,7 +223,7 @@ func TestRenderFig8(t *testing.T) {
 }
 
 func TestHeadlineAllClaimsHold(t *testing.T) {
-	claims, err := Headline(core.Config{})
+	claims, err := HeadlineWorkers(context.Background(), core.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestHeadlineAllClaimsHold(t *testing.T) {
 }
 
 func TestMonteCarloTracksAnalytic(t *testing.T) {
-	points, err := MonteCarlo(core.Config{}, 2, 7)
+	points, err := MonteCarloWorkers(context.Background(), core.Config{}, 2, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestMonteCarloTracksAnalytic(t *testing.T) {
 
 func TestRunnerAllNames(t *testing.T) {
 	ctx := context.Background()
-	r := NewRunner()
+	r := &Runner{}
 	r.MCTrials = 1
 	for _, name := range r.Names() {
 		ds, err := r.Run(ctx, name)
@@ -292,7 +292,7 @@ func TestRunnerAllNames(t *testing.T) {
 // derive from the same table, every name is unique, and the mc alias
 // resolves to the montecarlo entry.
 func TestRunnerRegistryComplete(t *testing.T) {
-	r := NewRunner()
+	r := &Runner{}
 	names := r.Names()
 	if len(names) != len(registry) {
 		t.Fatalf("Names lists %d experiments, registry has %d", len(names), len(registry))
@@ -325,8 +325,8 @@ func TestRunnerRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestZeroValueRunner pins the zero-value contract: &Runner{} works and is
-// equivalent to NewRunner(), with the documented defaults applied.
+// TestZeroValueRunner pins the zero-value contract: &Runner{} works, with
+// the documented defaults applied.
 func TestZeroValueRunner(t *testing.T) {
 	var zero Runner
 	eff := zero.effective()
@@ -339,22 +339,14 @@ func TestZeroValueRunner(t *testing.T) {
 	if eff.Workers != 0 {
 		t.Errorf("zero Workers -> %d, want 0 (GOMAXPROCS)", eff.Workers)
 	}
-	ds, err := zero.Run(context.Background(), "fig5")
-	if err != nil {
+	if _, err := zero.Run(context.Background(), "fig5"); err != nil {
 		t.Fatalf("zero-value Runner: %v", err)
-	}
-	fromNew, err := NewRunner().Run(context.Background(), "fig5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Text() != fromNew.Text() {
-		t.Error("zero-value Runner differs from NewRunner()")
 	}
 }
 
 func TestRunnerRunAll(t *testing.T) {
 	ctx := context.Background()
-	r := NewRunner()
+	r := &Runner{}
 	r.MCTrials = 1
 	dss, err := r.RunAll(ctx)
 	if err != nil {
@@ -384,7 +376,7 @@ func itoa(n int) string {
 }
 
 func TestFig6HotCompanion(t *testing.T) {
-	surfaces, err := Fig6Hot(Fig6N, []int{6, 8})
+	surfaces, err := Fig6HotWorkers(context.Background(), Fig6N, []int{6, 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +403,7 @@ func TestFig6HotCompanion(t *testing.T) {
 			t.Errorf("%s: longer code did not reduce average variability", tp)
 		}
 	}
-	if _, err := Fig6Hot(0, []int{6}); err == nil {
+	if _, err := Fig6HotWorkers(context.Background(), 0, []int{6}, 0); err == nil {
 		t.Error("N=0 accepted")
 	}
 	out := RenderFig6Hot(surfaces)

@@ -66,16 +66,11 @@ func fig6Surfaces(ctx context.Context, n int, types []code.Type, lengths []int, 
 		})
 }
 
-// Fig6 computes the variability surfaces for binary TC, GC and BGC at the
-// given code lengths (the paper uses 8 and 10) with n nanowires per half
-// cave. It runs on the default worker pool.
-func Fig6(n int, lengths []int) ([]Fig6Surface, error) {
-	return Fig6Workers(context.Background(), n, lengths, 0)
-}
-
-// Fig6Workers is Fig6 with a cancellation context and an explicit worker
-// count (<= 0 means GOMAXPROCS); the output is bit-identical at every
-// worker count.
+// Fig6Workers computes the variability surfaces for binary TC, GC and BGC at
+// the given code lengths (the paper uses 8 and 10) with n nanowires per half
+// cave. It runs on the par pool with the given worker count (<= 0 means
+// GOMAXPROCS) and stops when ctx is cancelled; the output is bit-identical
+// at every worker count.
 func Fig6Workers(ctx context.Context, n int, lengths []int, workers int) ([]Fig6Surface, error) {
 	return fig6Surfaces(ctx, n, []code.Type{code.TypeTree, code.TypeGray, code.TypeBalancedGray}, lengths, workers)
 }
@@ -162,18 +157,12 @@ func RenderFig6(surfaces []Fig6Surface) string {
 	return out
 }
 
-// Fig6Hot computes the variability surfaces for the hot code and its
-// arranged version — the paper reports (Sec. 6.2) that "similar results
-// were obtained ... for hot codes and their arranged version" without
-// plotting them; this experiment makes the claim concrete. It runs on the
-// default worker pool.
-func Fig6Hot(n int, lengths []int) ([]Fig6Surface, error) {
-	return Fig6HotWorkers(context.Background(), n, lengths, 0)
-}
-
-// Fig6HotWorkers is Fig6Hot with a cancellation context and an explicit
-// worker count (<= 0 means GOMAXPROCS); the output is bit-identical at
-// every worker count.
+// Fig6HotWorkers computes the variability surfaces for the hot code and its
+// arranged version — the paper reports (Sec. 6.2) that "similar results were
+// obtained ... for hot codes and their arranged version" without plotting
+// them; this experiment makes the claim concrete. It runs on the par pool
+// with the given worker count (<= 0 means GOMAXPROCS) and stops when ctx is
+// cancelled; the output is bit-identical at every worker count.
 func Fig6HotWorkers(ctx context.Context, n int, lengths []int, workers int) ([]Fig6Surface, error) {
 	return fig6Surfaces(ctx, n, []code.Type{code.TypeHot, code.TypeArrangedHot}, lengths, workers)
 }

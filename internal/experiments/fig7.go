@@ -81,16 +81,11 @@ func evalYieldPoints(ctx context.Context, cfg core.Config, units []familyPoint, 
 		})
 }
 
-// Fig7 computes the crossbar yield versus code length for the paper's two
-// panels: TC vs BGC over lengths 6/8/10 and HC vs AHC over lengths 4/6/8.
-// It runs on the default worker pool.
-func Fig7(cfg core.Config) ([]YieldPoint, error) {
-	return Fig7Workers(context.Background(), cfg, 0)
-}
-
-// Fig7Workers is Fig7 with a cancellation context and an explicit worker
-// count (<= 0 means GOMAXPROCS); the output is bit-identical at every
-// worker count.
+// Fig7Workers computes the crossbar yield versus code length for the paper's
+// two panels: TC vs BGC over lengths 6/8/10 and HC vs AHC over lengths
+// 4/6/8. It runs on the par pool with the given worker count (<= 0 means
+// GOMAXPROCS) and stops when ctx is cancelled; the output is bit-identical
+// at every worker count.
 func Fig7Workers(ctx context.Context, cfg core.Config, workers int) ([]YieldPoint, error) {
 	units := familyGrid([]familyPanel{
 		{code.TypeTree, TreeFamilyLengths},

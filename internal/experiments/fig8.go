@@ -11,16 +11,11 @@ import (
 	"nwdec/internal/textplot"
 )
 
-// Fig8 computes the effective area per functional bit for all five code
-// families over their length grids (tree family 6/8/10, hot family 4/6/8) —
-// the paper's Fig. 8. It runs on the default worker pool.
-func Fig8(cfg core.Config) ([]YieldPoint, error) {
-	return Fig8Workers(context.Background(), cfg, 0)
-}
-
-// Fig8Workers is Fig8 with a cancellation context and an explicit worker
-// count (<= 0 means GOMAXPROCS); the output is bit-identical at every
-// worker count.
+// Fig8Workers computes the effective area per functional bit for all five
+// code families over their length grids (tree family 6/8/10, hot family
+// 4/6/8) — the paper's Fig. 8. It runs on the par pool with the given worker
+// count (<= 0 means GOMAXPROCS) and stops when ctx is cancelled; the output
+// is bit-identical at every worker count.
 func Fig8Workers(ctx context.Context, cfg core.Config, workers int) ([]YieldPoint, error) {
 	units := familyGrid([]familyPanel{
 		{code.TypeTree, TreeFamilyLengths},

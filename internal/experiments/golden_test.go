@@ -23,7 +23,7 @@ func TestGoldenDatasets(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range []string{"fig5", "fig7", "fig8", "headline", "readout", "noise"} {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			r := NewRunner()
+			r := &Runner{}
 			r.Workers = workers
 			ds, err := r.Run(ctx, name)
 			if err != nil {

@@ -20,16 +20,11 @@ type Claim struct {
 	Holds bool
 }
 
-// Headline evaluates the summary claims of the paper's abstract and
-// conclusion against the reproduction and returns one Claim per number. It
-// runs on the default worker pool.
-func Headline(cfg core.Config) ([]Claim, error) {
-	return HeadlineWorkers(context.Background(), cfg, 0)
-}
-
-// HeadlineWorkers is Headline with a cancellation context and an explicit
-// worker count for the underlying figure evaluations (<= 0 means
-// GOMAXPROCS); the output is bit-identical at every worker count.
+// HeadlineWorkers evaluates the summary claims of the paper's abstract and
+// conclusion against the reproduction and returns one Claim per number. The
+// underlying figure evaluations run on the par pool with the given worker
+// count (<= 0 means GOMAXPROCS) and stop when ctx is cancelled; the output
+// is bit-identical at every worker count.
 func HeadlineWorkers(ctx context.Context, cfg core.Config, workers int) ([]Claim, error) {
 	var claims []Claim
 

@@ -38,20 +38,15 @@ var mcDesignPoints = []mcDesign{
 	{code.TypeArrangedHot, 6},
 }
 
-// MonteCarlo fabricates full crossbar memories with the functional simulator
-// and compares their usable crosspoint fraction against the analytic
-// Y² prediction. This experiment is the validation of the reproduction's
-// statistical platform (it has no direct counterpart figure in the paper,
-// which used the analytic model only). It runs on the default worker pool.
-func MonteCarlo(cfg core.Config, trials int, seed uint64) ([]MCPoint, error) {
-	return MonteCarloWorkers(context.Background(), cfg, trials, seed, 0)
-}
-
-// MonteCarloWorkers is MonteCarlo with a cancellation context and an
-// explicit worker count (<= 0 means GOMAXPROCS). Every (design point,
-// trial) unit draws from its own jump substream of the seed and the
-// per-point averages are reduced in trial order, so the output is
-// bit-identical at every worker count.
+// MonteCarloWorkers fabricates full crossbar memories with the functional
+// simulator and compares their usable crosspoint fraction against the
+// analytic Y² prediction. This experiment is the validation of the
+// reproduction's statistical platform (it has no direct counterpart figure
+// in the paper, which used the analytic model only). It runs on the par pool
+// with the given worker count (<= 0 means GOMAXPROCS) and stops when ctx is
+// cancelled; every (design point, trial) unit draws from its own jump
+// substream of the seed and the per-point averages are reduced in trial
+// order, so the output is bit-identical at every worker count.
 func MonteCarloWorkers(ctx context.Context, cfg core.Config, trials int, seed uint64, workers int) ([]MCPoint, error) {
 	if trials <= 0 {
 		trials = 4

@@ -80,9 +80,9 @@ func TestRunnerWorkerCountInvisible(t *testing.T) {
 	// every worker count, in every format.
 	ctx := context.Background()
 	for _, name := range []string{"fig7", "montecarlo", "margin", "readout", "noise"} {
-		serial := NewRunner()
+		serial := &Runner{}
 		serial.Workers = 1
-		parallel := NewRunner()
+		parallel := &Runner{}
 		parallel.Workers = runtime.GOMAXPROCS(0)
 		a, err := serial.Run(ctx, name)
 		if err != nil {

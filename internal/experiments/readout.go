@@ -49,20 +49,14 @@ var readoutStudies = []readoutStudy{
 	{code.TypeArrangedHot, 6, true},
 }
 
-// Readout runs the analog sensing extension: the same designs as Fig. 7,
-// scored by the on/off current-ratio criterion of a series-transistor
-// readout path instead of the digital threshold margin. It runs on the
-// default worker pool.
-func Readout(ctx context.Context, cfg core.Config, trials int, seed uint64) ([]ReadoutPoint, error) {
-	return ReadoutWorkers(ctx, cfg, trials, seed, 0)
-}
-
-// ReadoutWorkers is Readout with an explicit worker count (<= 0 means
-// GOMAXPROCS). Every study's generator is forked from the seed up front, in
-// row order, so which stream a study draws is fixed before the pool
-// schedules it and the output is bit-identical at every worker count. The
-// studies check ctx once per trial, so cancelling it mid-run returns
-// promptly with ctx's error.
+// ReadoutWorkers runs the analog sensing extension: the same designs as
+// Fig. 7, scored by the on/off current-ratio criterion of a
+// series-transistor readout path instead of the digital threshold margin. It
+// runs on the par pool with the given worker count (<= 0 means GOMAXPROCS).
+// Every study's generator is forked from the seed up front, in row order, so
+// which stream a study draws is fixed before the pool schedules it and the
+// output is bit-identical at every worker count. The studies check ctx once
+// per trial, so cancelling it mid-run returns promptly with ctx's error.
 func ReadoutWorkers(ctx context.Context, cfg core.Config, trials int, seed uint64, workers int) ([]ReadoutPoint, error) {
 	if trials <= 0 {
 		trials = 60

@@ -10,7 +10,7 @@ import (
 )
 
 func TestReadoutOrderingWithinTreeFamily(t *testing.T) {
-	points, err := Readout(context.Background(), core.Config{}, 30, 11)
+	points, err := ReadoutWorkers(context.Background(), core.Config{}, 30, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestReadoutOrderingWithinTreeFamily(t *testing.T) {
 }
 
 func TestReadoutDefaultsAndRender(t *testing.T) {
-	points, err := Readout(context.Background(), core.Config{}, 0, 1) // default trials
+	points, err := ReadoutWorkers(context.Background(), core.Config{}, 0, 1, 0) // default trials
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,13 +39,6 @@ type Runner struct {
 	Workers int
 }
 
-// NewRunner returns a Runner on the paper's default platform. It is
-// equivalent to &Runner{}: every field keeps its zero value and Run applies
-// the documented defaults.
-func NewRunner() *Runner {
-	return &Runner{}
-}
-
 // effective returns a copy of the Runner with the zero-value defaults
 // applied, so the registry entries never re-implement them.
 func (r *Runner) effective() Runner {

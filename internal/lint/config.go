@@ -68,10 +68,13 @@ func DefaultConfig(module string) *Config {
 		CtxEntryPkgs: []string{
 			"internal/cluster",
 			"internal/core",
+			"internal/crossbar",
 			"internal/engine",
 			"internal/experiments",
 			"internal/jobs",
+			"internal/readout",
 			"internal/sweep",
+			"internal/yield",
 		},
 		PrintAllowedPkgs: []string{
 			"internal/cli",

@@ -9,8 +9,7 @@ import (
 // only place goroutines are created or WaitGroups used, so the
 // determinism argument (ordered reduction over a bounded pool) has to
 // be made exactly once. Everything else expresses parallelism through
-// par.ForEach/par.Map or their chunked forms (par.ForEachChunks,
-// par.ForEachChunked, par.MapChunked, par.MapNChunked).
+// par.Map or the block-level par.ForEachChunks.
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
 	Doc:  "go statements and sync.WaitGroup only inside internal/par (and tests)",
@@ -25,7 +24,7 @@ func runNoGoroutine(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				p.Reportf(n.Pos(), "goroutine creation is contained in internal/par; use par.ForEach/par.Map or the chunked variants (par.ForEachChunks, par.MapChunked) so execution stays deterministic and bounded")
+				p.Reportf(n.Pos(), "goroutine creation is contained in internal/par; use par.Map or par.ForEachChunks so execution stays deterministic and bounded")
 			case *ast.SelectorExpr:
 				if n.Sel.Name != "WaitGroup" {
 					return true

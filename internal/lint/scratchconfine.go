@@ -3,21 +3,20 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ScratchConfine mechanizes the scratch-arena ownership rule of the
 // chunked hot path (DESIGN §11): a buffer allocated inside a
-// par.ForEachChunks / ForEachChunked / Map* block closure is chunk-local
+// par.ForEachChunks block closure or a par.Map callback is chunk-local
 // scratch, owned by exactly one callback invocation — it may be reused
 // across the items of its block precisely because it never leaves the
 // block. The rule flags every way such a buffer can escape the chunk:
 // a store into a global or any variable captured from outside the
 // closure (including fields and elements reached through one), a channel
-// send, a return (in the ForEach* block forms, whose closures yield only
-// an error — the Map* per-item return is the sanctioned hand-off of a
-// freshly allocated result), and capture by a goroutine launched inside
-// the block.
+// send, a return (in the ForEachChunks block form, whose closure yields
+// only an error — the Map per-item return is the sanctioned hand-off of
+// a freshly allocated result), and capture by a goroutine launched
+// inside the block.
 //
 // Views of shared arenas are deliberately exempt: a variable initialized
 // by slicing a captured arena (caveOut := wiresAll[lo:hi]) is a window
@@ -37,14 +36,8 @@ var ScratchConfine = &Analyzer{
 // argument is a block (or per-item) callback with scratch-ownership
 // semantics.
 var chunkedEntryPoints = map[string]bool{
-	"ForEachChunks":  true,
-	"ForEachChunked": true,
-	"ForEachN":       true,
-	"ForEach":        true,
-	"Map":            true,
-	"MapChunked":     true,
-	"MapN":           true,
-	"MapNChunked":    true,
+	"ForEachChunks": true,
+	"Map":           true,
 }
 
 func runScratchConfine(p *Pass) {
@@ -65,18 +58,18 @@ func runScratchConfine(p *Pass) {
 			if !ok {
 				return true
 			}
-			checkChunkClosure(p, lit, strings.HasPrefix(fn.Name(), "ForEach"))
+			checkChunkClosure(p, lit, fn.Name() == "ForEachChunks")
 			return true
 		})
 	}
 }
 
 // checkChunkClosure flags chunk-local scratch escaping the block
-// closure lit. Returns are an escape only in the ForEach* block forms
+// closure lit. Returns are an escape only in the ForEachChunks block form
 // (blockForm), where the closure yields nothing but an error and an
 // aliasing return smuggles the buffer out through the error path; in
-// the Map* forms the per-item return is the sanctioned hand-off of a
-// buffer the invocation just allocated.
+// Map the per-item return is the sanctioned hand-off of a buffer the
+// invocation just allocated.
 func checkChunkClosure(p *Pass, lit *ast.FuncLit, blockForm bool) {
 	scratch := scratchVars(p, lit)
 	if len(scratch) == 0 {

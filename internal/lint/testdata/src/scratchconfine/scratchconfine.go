@@ -52,7 +52,7 @@ func EscapeChannel(ctx context.Context, out chan []float64, n int) error {
 }
 
 // EscapeReturn smuggles block scratch out through the error path of a
-// ForEach* block closure.
+// ForEachChunks block closure.
 func EscapeReturn(ctx context.Context, n int) error {
 	return par.ForEachChunks(ctx, 4, n, 64, func(ctx context.Context, lo, hi int) error {
 		probe := make([]float64, 8)
@@ -104,9 +104,9 @@ func ElementRead(ctx context.Context, totals []float64, n int) error {
 }
 
 // PerItemResult returns a buffer the invocation just allocated from a
-// Map* per-item callback: the sanctioned result hand-off — clean.
+// Map per-item callback: the sanctioned result hand-off — clean.
 func PerItemResult(ctx context.Context, n int) ([][]float64, error) {
-	return par.MapNChunked(ctx, 4, n, 64, func(ctx context.Context, i int) ([]float64, error) {
+	return par.Map(ctx, 4, make([]struct{}, n), func(ctx context.Context, i int, _ struct{}) ([]float64, error) {
 		buf := make([]float64, 4)
 		buf[0] = float64(i)
 		return buf, nil

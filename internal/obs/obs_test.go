@@ -69,9 +69,9 @@ func TestSnapshotDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, w := range []int{1, 4, 8} {
 		reg := obs.New(nil) // no clock: every metric value is deterministic
 		ctx := obs.Into(context.Background(), reg)
-		err := par.ForEachN(ctx, w, n, func(ctx context.Context, i int) error {
+		_, err := par.Map(ctx, w, make([]struct{}, n), func(ctx context.Context, i int, _ struct{}) (int, error) {
 			obs.From(ctx).Counter("test/work").Add(1)
-			return nil
+			return i, nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

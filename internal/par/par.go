@@ -1,7 +1,7 @@
 // Package par is the deterministic parallel execution engine of the
-// simulator: a bounded worker pool with order-preserving Map/ForEach
-// primitives used by every sweep, experiment grid and Monte-Carlo driver in
-// the repository.
+// simulator: a bounded worker pool with two primitives, the block-level
+// ForEachChunks and the order-preserving Map, used by every sweep,
+// experiment grid and Monte-Carlo driver in the repository.
 //
 // Determinism is the design constraint. The pool never changes *what* is
 // computed, only *when*: work items are pure functions of their index, every
@@ -16,10 +16,7 @@
 // contiguous index block [lo, hi), not a single item, so the per-task
 // overhead (queue round-trip, clock reads, histogram observes) is amortized
 // over ChunkSize items. Chunking never changes results — items inside a
-// chunk run in ascending index order, chunks cover [0, n) exactly once —
-// and every per-item API accepts an explicit chunk override for callers
-// that know their granularity (1 reproduces the historical per-item
-// scheduling exactly).
+// chunk run in ascending index order, chunks cover [0, n) exactly once.
 package par
 
 import (
@@ -247,80 +244,26 @@ func ForEachChunks(ctx context.Context, workers, n, chunk int, fn func(ctx conte
 	return ctx.Err()
 }
 
-// ForEachChunked runs fn(ctx, i) for every i in [0, n), scheduled in
-// contiguous blocks of the given chunk size (<= 0 selects the ChunkSize
-// heuristic). Items inside a block run in ascending order and stop at the
-// block's first error or on cancellation, so the returned error follows
-// ForEachChunks semantics: the lowest-index error among the items that ran,
-// which for chunk = 1 (or workers = 1) is exactly the historical per-item
-// behavior of ForEachN.
-func ForEachChunked(ctx context.Context, workers, n, chunk int, fn func(ctx context.Context, i int) error) error {
-	return ForEachChunks(ctx, workers, n, chunk, func(cctx context.Context, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := cctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(cctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ForEachN runs fn(ctx, i) for every i in [0, n) on a bounded pool of
-// workers with the auto-chunked scheduling of ForEachChunked. The first
-// error observed (lowest block, then lowest index within it) cancels the
-// remaining work via the derived context and is returned; a nil return
-// guarantees every index was processed.
-func ForEachN(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return ForEachChunked(ctx, workers, n, 0, fn)
-}
-
-// ForEach runs fn over every element of items on a bounded worker pool with
-// ForEachN's cancellation semantics.
-func ForEach[T any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) error) error {
-	return ForEachN(ctx, workers, len(items), func(ctx context.Context, i int) error {
-		return fn(ctx, i, items[i])
-	})
-}
-
 // Map evaluates fn over every element of items on a bounded worker pool and
-// returns the results in input order. On error the partial results are
-// discarded and the first observed error is returned.
+// returns the results in input order. Items are scheduled in ForEachChunks
+// blocks of the ChunkSize heuristic; inside a block they run in ascending
+// order, and a block stops at its first error or on cancellation. On error
+// the partial results are discarded and the error ForEachChunks reports is
+// returned: the lowest-index failure among the items that ran, which with
+// workers = 1 is exactly the serial first error.
 func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return MapChunked(ctx, workers, 0, items, fn)
-}
-
-// MapChunked is Map with an explicit chunk size (<= 0 selects the ChunkSize
-// heuristic): one dequeued unit is a contiguous block of items.
-func MapChunked[T, R any](ctx context.Context, workers, chunk int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return MapNChunked(ctx, workers, len(items), chunk, func(ctx context.Context, i int) (R, error) {
-		return fn(ctx, i, items[i])
-	})
-}
-
-// MapN evaluates fn(ctx, i) for every i in [0, n) and returns the results
-// in index order — Map for work items that are pure functions of their
-// index.
-func MapN[R any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
-	return MapNChunked(ctx, workers, n, 0, fn)
-}
-
-// MapNChunked is MapN with an explicit chunk size (<= 0 selects the
-// ChunkSize heuristic). On error the partial results are discarded and the
-// first observed error is returned.
-func MapNChunked[R any](ctx context.Context, workers, n, chunk int, fn func(ctx context.Context, i int) (R, error)) ([]R, error) {
-	if n < 0 {
-		n = 0
-	}
-	out := make([]R, n)
-	err := ForEachChunked(ctx, workers, n, chunk, func(ctx context.Context, i int) error {
-		r, err := fn(ctx, i)
-		if err != nil {
-			return err
+	out := make([]R, len(items))
+	err := ForEachChunks(ctx, workers, len(items), 0, func(ctx context.Context, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			r, err := fn(ctx, i, items[i])
+			if err != nil {
+				return err
+			}
+			out[i] = r
 		}
-		out[i] = r
 		return nil
 	})
 	if err != nil {

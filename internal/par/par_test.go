@@ -43,7 +43,7 @@ func TestMapPreservesOrder(t *testing.T) {
 
 func TestMapNCoversEveryIndex(t *testing.T) {
 	var hits [64]atomic.Int32
-	out, err := MapN(context.Background(), 4, 64, func(_ context.Context, i int) (int, error) {
+	out, err := Map(context.Background(), 4, make([]struct{}, 64), func(_ context.Context, i int, _ struct{}) (int, error) {
 		hits[i].Add(1)
 		return i, nil
 	})
@@ -61,23 +61,26 @@ func TestMapNCoversEveryIndex(t *testing.T) {
 }
 
 func TestForEachEmptyAndNegative(t *testing.T) {
-	if err := ForEachN(context.Background(), 4, 0, nil); err != nil {
+	if err := ForEachChunks(context.Background(), 4, 0, 0, nil); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
-	out, err := MapN(context.Background(), 4, -1, func(_ context.Context, _ int) (int, error) { return 0, nil })
+	if err := ForEachChunks(context.Background(), 4, -1, 0, nil); err != nil {
+		t.Errorf("n=-1: %v", err)
+	}
+	out, err := Map(context.Background(), 4, []int(nil), func(_ context.Context, _, _ int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
-		t.Errorf("n=-1: out=%v err=%v", out, err)
+		t.Errorf("nil items: out=%v err=%v", out, err)
 	}
 }
 
 func TestSerialErrorIsFirstError(t *testing.T) {
 	var calls int
-	err := ForEachN(context.Background(), 1, 10, func(_ context.Context, i int) error {
+	_, err := Map(context.Background(), 1, make([]struct{}, 10), func(_ context.Context, i int, _ struct{}) (int, error) {
 		calls++
 		if i >= 3 {
-			return fmt.Errorf("boom at %d", i)
+			return 0, fmt.Errorf("boom at %d", i)
 		}
-		return nil
+		return i, nil
 	})
 	if err == nil || err.Error() != "boom at 3" {
 		t.Fatalf("err = %v", err)
@@ -91,8 +94,8 @@ func TestParallelErrorIsObservedFailure(t *testing.T) {
 	// Every item fails; whatever interleaving the scheduler picks, the
 	// reported error must be one of the failures (the lowest index among
 	// those that ran before cancellation).
-	err := ForEachN(context.Background(), 8, 100, func(_ context.Context, i int) error {
-		return fmt.Errorf("fail %d", i)
+	_, err := Map(context.Background(), 8, make([]struct{}, 100), func(_ context.Context, i int, _ struct{}) (int, error) {
+		return 0, fmt.Errorf("fail %d", i)
 	})
 	var idx int
 	if err == nil {
@@ -106,10 +109,10 @@ func TestParallelErrorIsObservedFailure(t *testing.T) {
 func TestErrorCancelsRemainingWork(t *testing.T) {
 	sentinel := errors.New("stop")
 	var ran atomic.Int32
-	err := ForEachN(context.Background(), 2, 10000, func(ctx context.Context, i int) error {
+	_, err := Map(context.Background(), 2, make([]struct{}, 10000), func(ctx context.Context, i int, _ struct{}) (int, error) {
 		ran.Add(1)
 		if i == 0 {
-			return sentinel
+			return 0, sentinel
 		}
 		// Give cancellation a moment to propagate so the count below is
 		// meaningful rather than a pure race.
@@ -117,7 +120,7 @@ func TestErrorCancelsRemainingWork(t *testing.T) {
 		case <-ctx.Done():
 		case <-time.After(time.Millisecond):
 		}
-		return nil
+		return i, nil
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
@@ -146,28 +149,31 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int32
-	err := ForEachN(ctx, 4, 50, func(_ context.Context, _ int) error {
+	_, err := Map(ctx, 4, make([]struct{}, 50), func(_ context.Context, i int, _ struct{}) (int, error) {
 		ran.Add(1)
-		return nil
+		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestForEachPassesItems checks that every callback receives its own
+// index together with the matching element, serially and in parallel.
 func TestForEachPassesItems(t *testing.T) {
-	items := []string{"a", "b", "c"}
-	got := make([]string, len(items))
-	err := ForEach(context.Background(), 1, items, func(_ context.Context, i int, item string) error {
-		got[i] = item
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range items {
-		if got[i] != items[i] {
-			t.Errorf("item %d = %q", i, got[i])
+	items := []string{"a", "b", "c", "d", "e"}
+	for _, w := range []int{1, 2} {
+		out, err := Map(context.Background(), w, items,
+			func(_ context.Context, i int, item string) (string, error) {
+				return fmt.Sprintf("%d:%s", i, item), nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, item := range items {
+			if want := fmt.Sprintf("%d:%s", i, item); out[i] != want {
+				t.Errorf("workers=%d: out[%d] = %q, want %q", w, i, out[i], want)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@ import "context"
 // fixed pool of slots that callers acquire before starting expensive work
 // and release when done. It bounds *requests in flight* the way the worker
 // pool bounds *tasks in flight* — the two compose, with the semaphore at
-// the request boundary and ForEach/Map underneath.
+// the request boundary and ForEachChunks/Map underneath.
 //
 // The implementation is a buffered channel, so Acquire needs no goroutines
 // and respects cancellation: a caller blocked on a full semaphore returns

@@ -107,26 +107,3 @@ func writeSection(sb *strings.Builder, heading string, ds *dataset.Dataset) {
 	}
 	sb.WriteString("\n")
 }
-
-// Summary returns a compact one-paragraph textual summary of the
-// reproduction status, suitable for CLI footers.
-func Summary(ctx context.Context, cfg core.Config) (string, error) {
-	claims, err := experiments.HeadlineWorkers(ctx, cfg, 0)
-	if err != nil {
-		return "", err
-	}
-	held := 0
-	for _, c := range claims {
-		if c.Holds {
-			held++
-		}
-	}
-	points, err := experiments.Fig8Workers(ctx, cfg, 0)
-	if err != nil {
-		return "", err
-	}
-	min := experiments.Fig8MinBitArea(points)
-	return fmt.Sprintf(
-		"%d of %d headline claims hold; best decoder: %s M=%d at %.0f nm²/bit, %.1f%% yield",
-		held, len(claims), min.Type, min.Length, min.BitArea, 100*min.Yield), nil
-}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"nwdec/internal/core"
 )
 
 func TestGenerateFullReport(t *testing.T) {
@@ -57,18 +55,5 @@ func TestGenerateWithoutAblations(t *testing.T) {
 	}
 	if !strings.HasPrefix(doc, "# short\n") {
 		t.Error("custom title missing")
-	}
-}
-
-func TestSummary(t *testing.T) {
-	s, err := Summary(context.Background(), core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "6 of 6 headline claims hold") {
-		t.Errorf("summary = %q", s)
-	}
-	if !strings.Contains(s, "nm²/bit") {
-		t.Errorf("summary missing bit area: %q", s)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/dataset"
+	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 	"nwdec/internal/par"
 )
@@ -123,7 +124,7 @@ func (g Grid) Points(base core.Config) []Point {
 						cfg.SigmaT = sigma
 						cfg.MarginFactor = mf
 						cfg.Spec.HalfCaveWires = n
-						if !validLength(tp, cfg.Base, m) {
+						if !core.ValidLength(tp, cfg.Base, m) {
 							continue
 						}
 						points = append(points, Point{
@@ -176,18 +177,13 @@ func EvalPoints(ctx context.Context, workers int, points []Point) ([]Row, error)
 		})
 }
 
-// Run evaluates every structurally valid grid point on the base platform.
-// It runs on the default worker pool; cancelling ctx aborts the sweep.
-func Run(ctx context.Context, base core.Config, grid Grid) ([]Row, error) {
-	return RunWorkers(ctx, base, grid, 0)
-}
-
-// RunWorkers is Run with a cancellation context and an explicit worker
-// count (<= 0 means GOMAXPROCS). The valid grid points are flattened in the
-// grid's Cartesian order (types → lengths → sigmas → margins → wires)
-// before fanning out, and the rows come back in that same order, so the
-// output is bit-identical at every worker count. Cancelling ctx abandons
-// unfinished points and returns ctx's error.
+// RunWorkers evaluates every structurally valid grid point on the base
+// platform, on the par pool with the given worker count (<= 0 means
+// GOMAXPROCS). The valid grid points are flattened in the grid's Cartesian
+// order (types → lengths → sigmas → margins → wires) before fanning out, and
+// the rows come back in that same order, so the output is bit-identical at
+// every worker count. A grid with no valid point is an nwerr.Invalid error.
+// Cancelling ctx abandons unfinished points and returns ctx's error.
 func RunWorkers(ctx context.Context, base core.Config, grid Grid, workers int) ([]Row, error) {
 	grid = grid.withDefaults()
 	points := grid.Points(base)
@@ -201,23 +197,9 @@ func RunWorkers(ctx context.Context, base core.Config, grid Grid, workers int) (
 		return nil, err
 	}
 	if len(rows) == 0 {
-		return nil, fmt.Errorf("sweep: grid produced no valid design points")
+		return nil, nwerr.Invalidf("sweep: grid produced no valid design points")
 	}
 	return rows, nil
-}
-
-// validLength mirrors the structural rule of the core sweeps.
-func validLength(tp code.Type, base, m int) bool {
-	if base == 0 {
-		base = 2
-	}
-	if m <= 0 {
-		return false
-	}
-	if tp.Reflected() {
-		return m%2 == 0
-	}
-	return m%base == 0
 }
 
 // Dataset packages sweep rows as a structured dataset whose columns match

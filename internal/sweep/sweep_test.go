@@ -24,7 +24,7 @@ func TestDefaultGridSize(t *testing.T) {
 }
 
 func TestRunDefaultGrid(t *testing.T) {
-	rows, err := Run(context.Background(), core.Config{}, Grid{})
+	rows, err := RunWorkers(context.Background(), core.Config{}, Grid{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,10 @@ func TestRunDefaultGrid(t *testing.T) {
 }
 
 func TestRunSkipsInvalidLengths(t *testing.T) {
-	rows, err := Run(context.Background(), core.Config{}, Grid{
+	rows, err := RunWorkers(context.Background(), core.Config{}, Grid{
 		Types:   []code.Type{code.TypeGray, code.TypeHot},
 		Lengths: []int{5, 6},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,23 +62,23 @@ func TestRunSkipsInvalidLengths(t *testing.T) {
 }
 
 func TestRunAllInvalidErrors(t *testing.T) {
-	_, err := Run(context.Background(), core.Config{}, Grid{
+	_, err := RunWorkers(context.Background(), core.Config{}, Grid{
 		Types:   []code.Type{code.TypeGray},
 		Lengths: []int{3},
-	})
+	}, 0)
 	if err == nil {
 		t.Error("empty result accepted")
 	}
 }
 
 func TestRunMultiAxis(t *testing.T) {
-	rows, err := Run(context.Background(), core.Config{}, Grid{
+	rows, err := RunWorkers(context.Background(), core.Config{}, Grid{
 		Types:         []code.Type{code.TypeBalancedGray},
 		Lengths:       []int{10},
 		SigmaTs:       []float64{0.03, 0.05, 0.08},
 		MarginFactors: []float64{0.8, 1.0},
 		HalfCaveWires: []int{16, 20},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestRunMultiAxis(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	rows, err := Run(context.Background(), core.Config{}, Grid{
+	rows, err := RunWorkers(context.Background(), core.Config{}, Grid{
 		Types:   []code.Type{code.TypeGray},
 		Lengths: []int{8, 10},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,9 @@
 #             TestPeerSmoke: a two-node in-process fleet asserting
 #             X-Cache miss-peer then hit-peer through the node that does
 #             not own a key, and a job through that node spread over both
-#             engines with byte-identical output
+#             engines with byte-identical output. TestCLIObservability
+#             checks the nwsim -metrics snapshot and that stdout is
+#             byte-identical with metrics on and off
 #          6. coverage gate — go run ./scripts/covergate enforces
 #             per-package statement-coverage floors over
 #             internal/{par,code,dataset,obs,engine,jobs,cluster,nwerr,
@@ -39,10 +41,7 @@
 #             scripts/benchcmp.go compares it against the committed
 #             baseline (±20% ns/op). Warns by default; set
 #             CI_BENCH_STRICT=1 to fail on regression.
-#          8. metrics smoke — nwsim -metrics json must emit a parseable
-#             snapshot (saved as ci-artifacts/metrics.json) without
-#             touching stdout data
-#          9. jobs kill/resume smoke — submits a multi-chunk sweep job
+#          8. jobs kill/resume smoke — submits a multi-chunk sweep job
 #             through nwsweep -job, SIGKILLs it mid-run, resumes from the
 #             checkpoint store and asserts the final dataset is
 #             byte-identical to an uninterrupted run; a second resume of
@@ -50,7 +49,7 @@
 #             by the computed=0 accounting line and by the obs
 #             jobs/chunks_* counters. The job store is preserved under
 #             ci-artifacts/job-smoke/ when the smoke fails.
-#         10. distributed jobs smoke — starts two nwserve peers, runs
+#          9. distributed jobs smoke — starts two nwserve peers, runs
 #             the same sweep job through nwsweep -peers so chunks route
 #             over the consistent-hash ring, SIGKILLs one peer
 #             mid-job and asserts the job still completes with output
@@ -58,7 +57,7 @@
 #             nonzero peer_served count in the ring accounting line. The
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
-#         11. fuzz smoke — 10s of real fuzzing per fuzz target of every
+#         10. fuzz smoke — 10s of real fuzzing per fuzz target of every
 #             package under internal/, auto-discovered from the test files
 #
 # Every stage ends with a per-step wall-time table (rendered by
@@ -144,13 +143,6 @@ run_bench() {
 	gate "$artifacts/benchcmp.txt" go run scripts/benchcmp.go \
 		-baseline BENCH_parallel.json \
 		-current "$artifacts/bench-current.json"
-}
-
-run_metrics_smoke() {
-	go run ./cmd/nwsim -exp montecarlo -trials 4 \
-		-metrics json -metrics-out "$artifacts/metrics.json" >/dev/null
-	test -s "$artifacts/metrics.json"
-	go run ./cmd/nwsim -exp montecarlo -trials 4 >"$artifacts/montecarlo-plain.txt"
 }
 
 # jobs_smoke_body is the kill/resume equivalence check. It runs inside
@@ -415,7 +407,6 @@ fi
 
 if [ "$stage" = "bench" ] || [ "$stage" = "all" ]; then
 	step "bench regression" run_bench
-	step "metrics smoke" run_metrics_smoke
 	step "jobs kill/resume smoke" run_jobs_smoke
 	step "distributed jobs smoke" run_dist_smoke
 	step "fuzz smoke" run_fuzz_smoke
