@@ -587,19 +587,6 @@ func BenchmarkMaskAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkHotRank times hot-code ranking via the combinatorial number
-// system.
-func BenchmarkHotRank(b *testing.B) {
-	h, _ := code.NewHot(2, 8)
-	words, _ := h.Sequence(h.SpaceSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Rank(words[i%len(words)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReportGeneration times the full Markdown reproduction report.
 func BenchmarkReportGeneration(b *testing.B) {
 	opt := report.DefaultOptions()

@@ -423,9 +423,16 @@ func TestCLIStructuredOutput(t *testing.T) {
 		}
 		// A design parameter no configuration can be built from is a bad
 		// flag value, not a computation failure.
-		code, stderr = runFail(t, buildCmd(t, dir, "nwdecoder"), "-length", "7")
+		decoder := buildCmd(t, dir, "nwdecoder")
+		code, stderr = runFail(t, decoder, "-length", "7")
 		if code != 2 {
 			t.Errorf("nwdecoder -length 7: exit %d, want 2 (%s)", code, stderr)
+		}
+		// The error names the margin factor as given, not the derived
+		// margin in volts.
+		code, stderr = runFail(t, decoder, "-margin", "-1")
+		if code != 2 || !strings.Contains(stderr, "margin factor must be positive and finite, got -1") {
+			t.Errorf("nwdecoder -margin -1: exit %d, want 2 with the factor -1 named (%s)", code, stderr)
 		}
 		code, stderr = runFail(t, buildCmd(t, dir, "nwsweep"), "-lengths", "5")
 		if code != 2 {

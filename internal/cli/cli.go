@@ -139,10 +139,6 @@ func (c *Common) Context() (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
-// Registry returns the command's metrics registry (nil unless -metrics
-// was set and Context has run).
-func (c *Common) Registry() *obs.Registry { return c.reg }
-
 // Close finalizes the observability surface: it stops any pprof/trace
 // capture and renders the metrics snapshot — through the dataset
 // renderers, to stderr or the -metrics-out file, never stdout. It is

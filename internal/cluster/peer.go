@@ -150,9 +150,7 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 	resp, err := b.fetch(ctx, base, req, key)
 	if err != nil {
 		b.errors.Add(1)
-		reg := obs.From(ctx)
-		reg.Counter("cluster/peer/errors").Add(1)
-		reg.Counter("cluster/peer/fallback_local").Add(1)
+		obs.From(ctx).Counter("cluster/peer/fallback_local").Add(1)
 		return b.local.Handle(ctx, req)
 	}
 	b.remote.Add(1)

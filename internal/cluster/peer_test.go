@@ -318,9 +318,6 @@ func TestPeerBackendFailover(t *testing.T) {
 			if n := reg.Counter("cluster/peer/fallback_local").Value(); n != 1 {
 				t.Errorf("cluster/peer/fallback_local = %d, want 1", n)
 			}
-			if n := reg.Counter("cluster/peer/errors").Value(); n != 1 {
-				t.Errorf("cluster/peer/errors = %d, want 1", n)
-			}
 			if st := backend.Stats(); st.Errors != 1 || st.Served != 0 {
 				t.Errorf("peer stats = %+v, want errors=1 served=0", st)
 			}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"nwdec/internal/code"
 	"nwdec/internal/geometry"
+	"nwdec/internal/nwerr"
 	"nwdec/internal/yield"
 )
 
@@ -62,6 +64,15 @@ func TestNewDesignErrors(t *testing.T) {
 	bad.Spec.NanowirePitch = 0
 	if _, err := NewDesign(bad); err == nil {
 		t.Error("broken geometry accepted")
+	}
+	// The message names the factor the caller passed, not the margin in
+	// volts derived from it.
+	_, err := NewDesign(Config{MarginFactor: -1})
+	if err == nil || err.Error() != "core: margin factor must be positive and finite, got -1" {
+		t.Errorf("margin factor -1: %v", err)
+	}
+	if !errors.Is(err, nwerr.ErrInvalid) {
+		t.Errorf("margin factor -1: %v is not Invalid-class", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"nwdec/internal/code"
@@ -124,6 +125,9 @@ func NewDesign(cfg Config) (*Design, error) {
 	layout, err := geometry.NewLayout(cfg.Spec, cfg.CodeLength, gen.SpaceSize())
 	if err != nil {
 		return nil, nwerr.Invalidf("core: %w", err)
+	}
+	if !(cfg.MarginFactor > 0) || math.IsInf(cfg.MarginFactor, 0) {
+		return nil, nwerr.Invalidf("core: margin factor must be positive and finite, got %g", cfg.MarginFactor)
 	}
 	analyzer := yield.Analyzer{SigmaT: cfg.SigmaT, Margin: q.Margin() * cfg.MarginFactor}
 	if err := analyzer.Validate(); err != nil {

@@ -83,13 +83,3 @@ func (d *Design) MonteCarloYieldWorkers(ctx context.Context, trials int, seed ui
 	}
 	return sum / float64(trials), nil
 }
-
-// VerifyUniqueAddressing checks the nominal uniqueness of the design's
-// decoder across its contact partition.
-func (d *Design) VerifyUniqueAddressing() error {
-	dec, err := d.Decoder()
-	if err != nil {
-		return err
-	}
-	return crossbar.VerifyDecoder(dec, d.Layout.Contact)
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nwdec/internal/code"
+	"nwdec/internal/crossbar"
 	"nwdec/internal/stats"
 )
 
@@ -70,7 +71,11 @@ func TestDesignVerifyUniqueAddressing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.VerifyUniqueAddressing(); err != nil {
+		dec, err := d.Decoder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := crossbar.VerifyDecoder(dec, d.Layout.Contact); err != nil {
 			t.Errorf("%v: %v", tp, err)
 		}
 	}

@@ -3,33 +3,8 @@ package crossbar
 import (
 	"fmt"
 
-	"nwdec/internal/code"
 	"nwdec/internal/geometry"
 )
-
-// Address identifies one nanowire of a layer through the CMOS interface: a
-// contact group (selected by the lithographic contact mesowire) and a code
-// word (driven on the decoder mesowires).
-type Address struct {
-	HalfCave int
-	Group    int
-	Word     code.Word
-}
-
-// String renders the address for diagnostics.
-func (a Address) String() string {
-	return fmt.Sprintf("halfcave %d, group %d, word %s", a.HalfCave, a.Group, a.Word)
-}
-
-// AddressOf returns the CMOS-side address of a physical wire index within a
-// layer built from the given decoder plan and contact partition.
-func AddressOf(d *Decoder, contact geometry.ContactPlan, wire Wire) Address {
-	return Address{
-		HalfCave: wire.HalfCave,
-		Group:    wire.Group,
-		Word:     d.Plan.Pattern()[wire.Index],
-	}
-}
 
 // NominalTable is the zero-variability decode map of one contact group: for
 // every applied code word, the set of wire indices (within the group window)

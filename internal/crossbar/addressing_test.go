@@ -79,6 +79,9 @@ func TestNominalAddressingWindowValidation(t *testing.T) {
 	}
 }
 
+// TestAddressOf checks the CMOS-side address a built wire carries: its
+// half cave and contact group, and the code word that drives it, which at
+// zero variability is the pattern row of its index.
 func TestAddressOf(t *testing.T) {
 	d := testDecoder(t, code.TypeGray, 8, 16)
 	contact := geometry.ContactPlan{GroupWires: 8, Groups: 2}
@@ -87,15 +90,17 @@ func TestAddressOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := layer.Wires[19] // half cave 1, index 3, group 0
-	addr := AddressOf(d, contact, w)
-	if addr.HalfCave != 1 || addr.Group != 0 {
-		t.Errorf("address = %+v", addr)
+	if w.HalfCave != 1 || w.Index != 3 || w.Group != 0 {
+		t.Errorf("wire 19 at half cave %d index %d group %d", w.HalfCave, w.Index, w.Group)
 	}
-	if !addr.Word.Equal(d.Plan.Pattern()[3]) {
-		t.Errorf("address word = %v", addr.Word)
+	word := d.Plan.Pattern()[w.Index]
+	for j, vt := range w.VT {
+		if want := d.Q.VTOf(word[j]); vt != want {
+			t.Errorf("region %d: VT %g, want %g for digit %d", j, vt, want, word[j])
+		}
 	}
-	if !strings.Contains(addr.String(), "halfcave 1") {
-		t.Error("address string incomplete")
+	if !Conducts(w.VT, d.AddressVoltages(word)) {
+		t.Errorf("wire 19 does not conduct under its address word %v", word)
 	}
 }
 

@@ -176,7 +176,12 @@ func TestBuildLayer(t *testing.T) {
 		t.Fatalf("layer has %d wires", len(layer.Wires))
 	}
 	ambCount := 0
-	for _, w := range layer.Wires {
+	for i, w := range layer.Wires {
+		// Wires fill half caves in order: wire i sits at index i mod N of
+		// half cave i / N.
+		if w.HalfCave != i/d.Plan.N() || w.Index != i%d.Plan.N() {
+			t.Fatalf("wire %d at half cave %d index %d", i, w.HalfCave, w.Index)
+		}
 		if w.Group != w.Index/contact.GroupWires {
 			t.Fatalf("wire group %d inconsistent with index %d", w.Group, w.Index)
 		}

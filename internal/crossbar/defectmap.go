@@ -2,14 +2,12 @@ package crossbar
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// DefectMap is the persistent record of a fabricated crossbar's hard
-// defects: which row and column wires failed addressability testing. A
-// controller stores it after manufacturing test and rebuilds the logical
-// address remap from it on every power-up.
+// DefectMap records a fabricated crossbar's hard defects: which row and
+// column wires failed addressability testing. Write dumps it as JSON, the
+// output of nwmem -dumpmap.
 type DefectMap struct {
 	Rows int `json:"rows"`
 	Cols int `json:"cols"`
@@ -34,30 +32,6 @@ func ExtractDefectMap(m *Memory) DefectMap {
 	return dm
 }
 
-// Validate checks internal consistency (dimensions positive, indices in
-// range and strictly ascending).
-func (dm DefectMap) Validate() error {
-	if dm.Rows <= 0 || dm.Cols <= 0 {
-		return fmt.Errorf("crossbar: non-positive defect-map dimensions %dx%d", dm.Rows, dm.Cols)
-	}
-	if err := checkIndices(dm.BadRows, dm.Rows, "row"); err != nil {
-		return err
-	}
-	return checkIndices(dm.BadCols, dm.Cols, "column")
-}
-
-func checkIndices(idx []int, n int, what string) error {
-	for i, v := range idx {
-		if v < 0 || v >= n {
-			return fmt.Errorf("crossbar: defective %s index %d outside [0, %d)", what, v, n)
-		}
-		if i > 0 && v <= idx[i-1] {
-			return fmt.Errorf("crossbar: defective %s indices not strictly ascending at %d", what, v)
-		}
-	}
-	return nil
-}
-
 // UsableBits returns the number of working crosspoints implied by the map.
 func (dm DefectMap) UsableBits() int {
 	return (dm.Rows - len(dm.BadRows)) * (dm.Cols - len(dm.BadCols))
@@ -68,42 +42,4 @@ func (dm DefectMap) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dm)
-}
-
-// ReadDefectMap parses and validates a JSON defect map.
-func ReadDefectMap(r io.Reader) (DefectMap, error) {
-	var dm DefectMap
-	if err := json.NewDecoder(r).Decode(&dm); err != nil {
-		return DefectMap{}, fmt.Errorf("crossbar: parsing defect map: %w", err)
-	}
-	if err := dm.Validate(); err != nil {
-		return DefectMap{}, err
-	}
-	return dm, nil
-}
-
-// Apply marks the wires of a memory according to the map, so a logical
-// remap identical to the one at test time can be rebuilt on a fresh Memory
-// value. The memory dimensions must match the map.
-func (dm DefectMap) Apply(m *Memory) error {
-	if err := dm.Validate(); err != nil {
-		return err
-	}
-	if len(m.Rows.Wires) != dm.Rows || len(m.Cols.Wires) != dm.Cols {
-		return fmt.Errorf("crossbar: defect map %dx%d does not fit memory %dx%d",
-			dm.Rows, dm.Cols, len(m.Rows.Wires), len(m.Cols.Wires))
-	}
-	for i := range m.Rows.Wires {
-		m.Rows.Wires[i].Addressable = true
-	}
-	for i := range m.Cols.Wires {
-		m.Cols.Wires[i].Addressable = true
-	}
-	for _, i := range dm.BadRows {
-		m.Rows.Wires[i].Addressable = false
-	}
-	for _, i := range dm.BadCols {
-		m.Cols.Wires[i].Addressable = false
-	}
-	return nil
 }

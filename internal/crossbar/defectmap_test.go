@@ -2,7 +2,8 @@ package crossbar
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -21,11 +22,10 @@ func TestExtractDefectMap(t *testing.T) {
 	if dm.UsableBits() != mem.UsableBits() {
 		t.Errorf("usable bits %d vs %d", dm.UsableBits(), mem.UsableBits())
 	}
-	if err := dm.Validate(); err != nil {
-		t.Errorf("extracted map invalid: %v", err)
-	}
 }
 
+// TestDefectMapRoundTrip decodes the JSON that Write produces (the
+// nwmem -dumpmap output) and compares every field with the map written.
 func TestDefectMapRoundTrip(t *testing.T) {
 	mem := buildTestMemory(t, []int{0, 7}, []int{1, 15})
 	dm := ExtractDefectMap(mem)
@@ -33,58 +33,20 @@ func TestDefectMapRoundTrip(t *testing.T) {
 	if err := dm.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDefectMap(&buf)
-	if err != nil {
+	// The field names are the dump's public form, so they are spelled out
+	// here instead of read back through DefectMap's own tags.
+	var back struct {
+		Rows    int   `json:"rows"`
+		Cols    int   `json:"cols"`
+		BadRows []int `json:"badRows"`
+		BadCols []int `json:"badCols"`
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&back); err != nil {
 		t.Fatal(err)
 	}
-	if back.UsableBits() != dm.UsableBits() || len(back.BadRows) != 2 {
-		t.Errorf("round trip = %+v", back)
-	}
-	// Apply onto a fresh (all-good) memory and compare the remaps.
-	fresh := buildTestMemory(t, nil, nil)
-	if err := back.Apply(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.UsableBits() != mem.UsableBits() {
-		t.Errorf("applied map yields %d usable bits, want %d", fresh.UsableBits(), mem.UsableBits())
-	}
-	if fresh.Usable(0, 0) || fresh.Usable(3, 1) || !fresh.Usable(3, 2) {
-		t.Error("applied defect pattern wrong")
-	}
-}
-
-func TestDefectMapValidate(t *testing.T) {
-	bad := []DefectMap{
-		{Rows: 0, Cols: 4},
-		{Rows: 4, Cols: 4, BadRows: []int{4}},
-		{Rows: 4, Cols: 4, BadRows: []int{-1}},
-		{Rows: 4, Cols: 4, BadRows: []int{2, 2}},
-		{Rows: 4, Cols: 4, BadCols: []int{3, 1}},
-	}
-	for i, dm := range bad {
-		if err := dm.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, dm)
-		}
-	}
-	good := DefectMap{Rows: 4, Cols: 4, BadRows: []int{1, 3}, BadCols: nil}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid map rejected: %v", err)
-	}
-}
-
-func TestReadDefectMapErrors(t *testing.T) {
-	if _, err := ReadDefectMap(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadDefectMap(strings.NewReader(`{"rows":2,"cols":2,"badRows":[5]}`)); err == nil {
-		t.Error("invalid indices accepted")
-	}
-}
-
-func TestDefectMapApplyDimensionMismatch(t *testing.T) {
-	mem := buildTestMemory(t, nil, nil)
-	dm := DefectMap{Rows: 8, Cols: 8}
-	if err := dm.Apply(mem); err == nil {
-		t.Error("dimension mismatch accepted")
+	if back.Rows != dm.Rows || back.Cols != dm.Cols || !slices.Equal(back.BadRows, dm.BadRows) || !slices.Equal(back.BadCols, dm.BadCols) {
+		t.Errorf("decoded %+v, want %+v", back, dm)
 	}
 }

@@ -32,16 +32,3 @@ func SpareWires(required int, failProb, confidence float64) (int, error) {
 	return 0, fmt.Errorf("crossbar: no spare count up to %d reaches confidence %g at failure probability %g",
 		maxSpares, confidence, failProb)
 }
-
-// CapacityConfidence returns the probability that a layer of total wires
-// with independent per-wire failure probability failProb still delivers at
-// least required addressable wires.
-func CapacityConfidence(total, required int, failProb float64) (float64, error) {
-	if total <= 0 || required < 0 || required > total {
-		return 0, fmt.Errorf("crossbar: invalid wire counts total=%d required=%d", total, required)
-	}
-	if failProb < 0 || failProb > 1 {
-		return 0, fmt.Errorf("crossbar: failure probability %g outside [0, 1]", failProb)
-	}
-	return stats.BinomialTailGE(total, 1-failProb, required), nil
-}

@@ -42,19 +42,12 @@ func TestSpareWiresMeetConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CapacityConfidence(required+s, required, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < conf {
+	// The chance that at least required of required+s wires work.
+	if got := stats.BinomialTailGE(required+s, 1-p, required); got < conf {
 		t.Errorf("confidence with %d spares = %g, want >= %g", s, got, conf)
 	}
 	if s > 0 {
-		less, err := CapacityConfidence(required+s-1, required, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if less >= conf {
+		if less := stats.BinomialTailGE(required+s-1, 1-p, required); less >= conf {
 			t.Errorf("spare count %d not minimal", s)
 		}
 	}
@@ -69,23 +62,6 @@ func TestSpareWiresValidation(t *testing.T) {
 	}
 	if _, err := SpareWires(10, 0.1, 1.0); err == nil {
 		t.Error("confidence 1 accepted")
-	}
-}
-
-func TestCapacityConfidenceEdges(t *testing.T) {
-	c, err := CapacityConfidence(10, 0, 0.5)
-	if err != nil || c != 1 {
-		t.Errorf("requiring 0 wires: %g, %v", c, err)
-	}
-	c, err = CapacityConfidence(10, 10, 0)
-	if err != nil || c != 1 {
-		t.Errorf("perfect process full capacity: %g, %v", c, err)
-	}
-	if _, err := CapacityConfidence(0, 0, 0.5); err == nil {
-		t.Error("zero total accepted")
-	}
-	if _, err := CapacityConfidence(4, 9, 0.5); err == nil {
-		t.Error("required above total accepted")
 	}
 }
 

@@ -82,11 +82,6 @@ type Meta struct {
 	// ConfigHash fingerprints the platform configuration the experiment ran
 	// on (see Fingerprint).
 	ConfigHash string
-	// Workers is the worker-pool bound the experiment ran with. It is an
-	// execution detail, not data identity: the determinism guarantee makes
-	// the rows independent of it, so it is excluded from serialization to
-	// keep the output bit-identical at every worker count.
-	Workers int
 }
 
 // Dataset is one experiment result: a columnar table plus metadata and

@@ -16,7 +16,7 @@ func sample() *Dataset {
 	ds.AddRow("BGC", 10, 192.0, true)
 	ds.AddRow("TC", 8, 259.5, false)
 	ds.Note("best: %s", "BGC")
-	ds.Meta = Meta{Experiment: "demo", Seed: 7, Trials: 3, ConfigHash: "abc", Workers: 4}
+	ds.Meta = Meta{Experiment: "demo", Seed: 7, Trials: 3, ConfigHash: "abc"}
 	return ds
 }
 
@@ -58,7 +58,6 @@ func TestJSONFormRoundTrips(t *testing.T) {
 		Meta struct {
 			Experiment string `json:"experiment"`
 			Seed       uint64 `json:"seed"`
-			Workers    *int   `json:"workers"`
 		} `json:"meta"`
 		Columns []struct {
 			Name string `json:"name"`
@@ -73,9 +72,6 @@ func TestJSONFormRoundTrips(t *testing.T) {
 	}
 	if doc.Name != "demo" || doc.Meta.Experiment != "demo" || doc.Meta.Seed != 7 {
 		t.Errorf("metadata lost: %+v", doc)
-	}
-	if doc.Meta.Workers != nil {
-		t.Error("workers leaked into JSON: serialization must be worker-count independent")
 	}
 	if len(doc.Columns) != 4 || doc.Columns[2].Unit != "nm²" || doc.Columns[2].Kind != "float" {
 		t.Errorf("schema lost: %+v", doc.Columns)
@@ -136,13 +132,13 @@ func TestCloneIsIndependent(t *testing.T) {
 	cp := orig.Clone()
 	cp.AddRow("HC", 6, 300.0, true)
 	cp.Note("clone-only")
-	cp.Meta.Workers = 99
+	cp.Meta.ConfigHash = "changed"
 	cp.Columns[0].Name = "renamed"
 	if len(orig.Rows) != 2 || len(orig.Notes) != 1 {
 		t.Errorf("mutating the clone leaked into the original: %d rows, %d notes",
 			len(orig.Rows), len(orig.Notes))
 	}
-	if orig.Meta.Workers != 4 || orig.Columns[0].Name != "code" {
+	if orig.Meta.ConfigHash != "abc" || orig.Columns[0].Name != "code" {
 		t.Error("clone shares Meta or Columns with the original")
 	}
 	// The clone carries everything the original had at copy time.

@@ -26,8 +26,8 @@ func ParseKind(name string) (Kind, error) {
 // It is the inverse the cluster peer protocol needs: a node serves its
 // cached dataset as JSON and the requesting node reconstructs a Dataset
 // it can render in any format. The full-fidelity text renderer does not
-// cross the wire — Text() of a parsed dataset falls back to the generic
-// table — and Meta.Workers is absent from the form by design.
+// cross the wire: Text() of a parsed dataset falls back to the generic
+// table.
 func ParseJSON(r io.Reader) (*Dataset, error) {
 	var doc jsonDataset
 	dec := json.NewDecoder(r)

@@ -31,10 +31,8 @@ func TestParseJSONRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(got.Notes, ds.Notes) {
 		t.Errorf("notes = %+v, want %+v", got.Notes, ds.Notes)
 	}
-	wantMeta := ds.Meta
-	wantMeta.Workers = 0 // execution detail: excluded from serialization
-	if got.Meta != wantMeta {
-		t.Errorf("meta = %+v, want %+v", got.Meta, wantMeta)
+	if got.Meta != ds.Meta {
+		t.Errorf("meta = %+v, want %+v", got.Meta, ds.Meta)
 	}
 	again, err := got.JSON()
 	if err != nil {

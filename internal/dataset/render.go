@@ -160,8 +160,6 @@ type jsonMeta struct {
 	Seed       uint64 `json:"seed,omitempty"`
 	Trials     int    `json:"trials,omitempty"`
 	ConfigHash string `json:"configHash,omitempty"`
-	// Workers is deliberately absent: it is an execution detail and the
-	// rows are bit-identical at every worker count.
 }
 
 type jsonDataset struct {

@@ -42,7 +42,7 @@ func (s *stubBackend) Handle(ctx context.Context, req Request) (*Response, error
 	if s.err != nil {
 		return nil, s.err
 	}
-	return &Response{Yield: 0.5, Key: req.Key()}, nil
+	return &Response{Key: req.Key()}, nil
 }
 
 func (s *stubBackend) callCount() int {

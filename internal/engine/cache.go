@@ -48,7 +48,7 @@ func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, erro
 	if resp, ok := b.cache.get(key); ok {
 		reg.Counter("engine/cache/hits").Add(1)
 		b.stats.served.Add(1)
-		return resp.clone(req, true), nil
+		return resp.clone(true), nil
 	}
 	reg.Counter("engine/cache/misses").Add(1)
 	resp, err := b.next.Handle(ctx, req)
@@ -62,7 +62,7 @@ func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, erro
 	}
 	reg.Gauge("engine/cache/entries").Set(float64(b.cache.len()))
 	reg.Gauge("engine/cache/cost").Set(float64(b.cache.costNow()))
-	return resp.clone(req, false), nil
+	return resp.clone(false), nil
 }
 
 // cacheEntry is one cached response with its content address and weight.

@@ -78,7 +78,7 @@ func (b *singleflightBackend) Handle(ctx context.Context, req Request) (*Respons
 			return nil, f.err
 		}
 		b.stats.served.Add(1)
-		return f.resp.clone(req, true), nil
+		return f.resp.clone(true), nil
 	}
 	resp, err := b.next.Handle(ctx, req)
 	b.land(f, key, resp, err)
@@ -118,7 +118,7 @@ func (b *singleflightBackend) land(f *flight, key string, resp *Response, err er
 	// No new follower can join once the flight is deregistered, so the
 	// waiter count is final and f may be written until done closes.
 	if resp != nil && waiters > 0 {
-		f.resp = resp.clone(Request{}, true)
+		f.resp = resp.clone(true)
 	}
 	f.err = err
 	close(f.done)

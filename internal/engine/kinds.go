@@ -85,7 +85,7 @@ func computeMonteCarlo(ctx context.Context, req Request) (*Response, error) {
 	ds.Meta.Seed = req.Seed
 	ds.Meta.Trials = req.Trials
 	ds.Meta.ConfigHash = req.Config.Fingerprint()
-	return &Response{Dataset: ds, Design: d, Yield: y}, nil
+	return &Response{Dataset: ds, Design: d}, nil
 }
 
 func computeExperiment(ctx context.Context, req Request) (*Response, error) {

@@ -178,7 +178,7 @@ func (r Request) validate() error {
 }
 
 // Response is the result of one request. Dataset is always set except for
-// KindFabricate. The kind-specific payloads (Design, Rows, Yield) are
+// KindFabricate. The kind-specific payloads (Design, Rows) are
 // shared between callers of the same cached result and must be treated as
 // read-only; Dataset is a private clone, safe to annotate. Memory and RNG
 // come only from the uncached KindFabricate, so they are exclusively the
@@ -190,8 +190,6 @@ type Response struct {
 	Design *core.Design
 	// Rows are the evaluated grid points for KindSweep.
 	Rows []sweep.Row
-	// Yield is the measured mean usable fraction for KindMonteCarlo.
-	Yield float64
 	// Memory is the fabricated crossbar for KindFabricate.
 	Memory *crossbar.Memory
 	// RNG is the generator state after fabrication for KindFabricate, so
@@ -205,7 +203,7 @@ type Response struct {
 	// Peer reports that the response was served by the request key's
 	// owning node over the cluster peer protocol instead of by this
 	// process (see internal/cluster). Peer responses carry the dataset
-	// only: the kind-specific payloads (Design, Rows, Yield) do not cross
+	// only: the kind-specific payloads (Design, Rows) do not cross
 	// the wire.
 	Peer bool
 	// Key is the request's content address, for logging and HTTP headers.
@@ -213,15 +211,12 @@ type Response struct {
 }
 
 // clone returns the caller's private view of a response: the dataset is
-// deep-copied (and stamped with the request's worker count — an execution
-// detail excluded from serialization) so no caller can mutate the cached
-// original.
-func (r *Response) clone(req Request, hit bool) *Response {
+// deep-copied so no caller can mutate the cached original.
+func (r *Response) clone(hit bool) *Response {
 	out := *r
 	out.CacheHit = hit
 	if r.Dataset != nil {
 		out.Dataset = r.Dataset.Clone()
-		out.Dataset.Meta.Workers = req.Workers
 	}
 	return &out
 }

@@ -206,9 +206,12 @@ func TestFig8PaperShape(t *testing.T) {
 	if min.BitArea < 120 || min.BitArea > 300 {
 		t.Errorf("minimum bit area %g nm² far from the paper's ~170 nm²", min.BitArea)
 	}
-	best := Fig8Best(points)
-	if len(best) != 5 {
-		t.Errorf("Fig8Best covered %d families", len(best))
+	families := make(map[code.Type]bool)
+	for _, p := range points {
+		families[p.Type] = true
+	}
+	if len(families) != 5 {
+		t.Errorf("Fig. 8 covered %d families, want 5", len(families))
 	}
 }
 
@@ -341,25 +344,6 @@ func TestZeroValueRunner(t *testing.T) {
 	}
 	if _, err := zero.Run(context.Background(), "fig5"); err != nil {
 		t.Fatalf("zero-value Runner: %v", err)
-	}
-}
-
-func TestRunnerRunAll(t *testing.T) {
-	ctx := context.Background()
-	r := &Runner{}
-	r.MCTrials = 1
-	dss, err := r.RunAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := r.Names()
-	if len(dss) != len(names) {
-		t.Fatalf("RunAll returned %d datasets for %d experiments", len(dss), len(names))
-	}
-	for i, ds := range dss {
-		if ds.Meta.Experiment != names[i] {
-			t.Errorf("dataset %d is %q, want %q", i, ds.Meta.Experiment, names[i])
-		}
 	}
 }
 

@@ -52,17 +52,6 @@ func Fig8Dataset(points []YieldPoint) *dataset.Dataset {
 	return ds
 }
 
-// Fig8Best returns the smallest bit area per code family.
-func Fig8Best(points []YieldPoint) map[code.Type]YieldPoint {
-	best := make(map[code.Type]YieldPoint)
-	for _, p := range points {
-		if cur, ok := best[p.Type]; !ok || p.BitArea < cur.BitArea {
-			best[p.Type] = p
-		}
-	}
-	return best
-}
-
 // Fig8MinBitArea returns the overall smallest bit area and its point.
 func Fig8MinBitArea(points []YieldPoint) YieldPoint {
 	min := YieldPoint{BitArea: math.Inf(1)}

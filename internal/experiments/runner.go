@@ -265,25 +265,10 @@ func (r *Runner) Run(ctx context.Context, name string) (*dataset.Dataset, error)
 			return nil, err
 		}
 		ds.Meta.Experiment = spec.name
-		ds.Meta.Workers = eff.Workers
 		ds.Meta.ConfigHash = eff.Cfg.Fingerprint()
 		return ds, nil
 	}
 	known := r.Names()
 	sort.Strings(known)
 	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s, all)", name, strings.Join(known, ", "))
-}
-
-// RunAll executes every experiment in presentation order and returns the
-// datasets. The first failure aborts the run.
-func (r *Runner) RunAll(ctx context.Context) ([]*dataset.Dataset, error) {
-	out := make([]*dataset.Dataset, 0, len(registry))
-	for _, spec := range registry {
-		ds, err := r.Run(ctx, spec.name)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", spec.name, err)
-		}
-		out = append(out, ds)
-	}
-	return out, nil
 }

@@ -104,11 +104,6 @@ func NewLayout(spec CrossbarSpec, codeLength, spaceSize int) (*Layout, error) {
 // Area returns the total crossbar area in nm².
 func (l *Layout) Area() float64 { return l.Side * l.Side }
 
-// RawBitArea returns the area per raw crosspoint in nm² (before yield).
-func (l *Layout) RawBitArea() float64 {
-	return l.Area() / float64(l.Spec.RawBits)
-}
-
 // EffectiveBitArea returns the area per *working* crosspoint given the cave
 // yield (fraction of addressable nanowires per layer): the effective density
 // is D_EFF = D_RAW · Y², so the bit area grows as 1/Y². It returns +Inf for
@@ -119,6 +114,3 @@ func (l *Layout) EffectiveBitArea(yield float64) float64 {
 	}
 	return l.Area() / (float64(l.Spec.RawBits) * yield * yield)
 }
-
-// HalfCaves returns the number of half caves per layer.
-func (l *Layout) HalfCaves() int { return 2 * l.Caves }

@@ -124,9 +124,6 @@ func TestNewLayoutPaperPlatform(t *testing.T) {
 	if l.Caves != 4 {
 		t.Errorf("Caves = %d, want 4 (ceil of 128 wires / 40 per cave)", l.Caves)
 	}
-	if l.HalfCaves() != 8 {
-		t.Errorf("HalfCaves = %d", l.HalfCaves())
-	}
 	if math.Abs(l.ArraySpan-1280) > 1e-9 {
 		t.Errorf("ArraySpan = %g, want 1280 nm", l.ArraySpan)
 	}
@@ -149,7 +146,7 @@ func TestEffectiveBitArea(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := l.RawBitArea()
+	raw := l.Area() / float64(l.Spec.RawBits)
 	if got := l.EffectiveBitArea(1); math.Abs(got-raw) > 1e-9 {
 		t.Errorf("full-yield bit area %g != raw %g", got, raw)
 	}

@@ -40,9 +40,6 @@ func NewFSStore(dir string) (*FSStore, error) {
 	return &FSStore{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (f *FSStore) Root() string { return f.root }
-
 func (f *FSStore) jobDir(id string) string { return filepath.Join(f.root, id) }
 
 func chunkFile(idx int) string { return fmt.Sprintf("chunk-%05d.json", idx) }

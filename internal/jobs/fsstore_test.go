@@ -2,10 +2,12 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nwdec/internal/nwerr"
@@ -219,4 +221,57 @@ func TestStaleLeaseReclaimed(t *testing.T) {
 	if len(leases) != 0 {
 		t.Errorf("leases after completion = %v, want none", leases)
 	}
+}
+
+// FuzzSpecJSON fuzzes the spec decoder a resume starts from. Each input
+// is the spec.json of a job in a filesystem store: GetSpec must return a
+// spec or an error, never panic, and a spec it returns must survive
+// PutSpec/GetSpec in a fresh store under the same ID, because resume finds
+// a job's checkpoints by that ID.
+func FuzzSpecJSON(f *testing.F) {
+	seed, err := json.MarshalIndent(testSpec(), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"base":{"Model":{}}}`))
+	f.Add([]byte(`{"base":{"SigmaT":-0,"CodeType":99},"grid":{"Types":[],"SigmaTs":[1e308]},"chunk":-5}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const id = "j-fuzz"
+		fs, err := NewFSStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := fs.jobDir(id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "spec.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := fs.GetSpec(id)
+		if err != nil {
+			if !reflect.DeepEqual(spec, Spec{}) {
+				t.Fatalf("GetSpec returned both an error and a spec: %v, %+v", err, spec)
+			}
+			return
+		}
+		fresh, err := NewFSStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.PutSpec(spec.ID(), spec); err != nil {
+			t.Fatalf("decoded spec does not persist: %v\n%s", err, data)
+		}
+		back, err := fresh.GetSpec(spec.ID())
+		if err != nil {
+			t.Fatalf("persisted spec does not load: %v\n%s", err, data)
+		}
+		if back.ID() != spec.ID() {
+			t.Fatalf("round trip moved the job from %s to %s\n%s", spec.ID(), back.ID(), data)
+		}
+	})
 }

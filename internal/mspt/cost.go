@@ -84,12 +84,6 @@ func (p *Plan) SigmaRootNormalized() [][]float64 {
 	return out
 }
 
-// RegionSigma returns the threshold-voltage standard deviation of region
-// (i, j): σ_T · sqrt(ν[i][j]).
-func (p *Plan) RegionSigma(i, j int, sigmaT float64) float64 {
-	return sigmaT * math.Sqrt(float64(p.nu[i][j]))
-}
-
 // MaxNu returns the largest dose-operation count in the plan — the
 // worst-case region variability in units of σ_T².
 func (p *Plan) MaxNu() int {

@@ -301,9 +301,6 @@ func TestSigmaHelpers(t *testing.T) {
 	if math.Abs(root[0][1]-math.Sqrt(3)) > 1e-12 {
 		t.Errorf("normalized root = %g, want sqrt(3)", root[0][1])
 	}
-	if got := p.RegionSigma(0, 1, sigmaT); math.Abs(got-sigmaT*math.Sqrt(3)) > 1e-12 {
-		t.Errorf("RegionSigma = %g", got)
-	}
 	if p.MaxNu() != 3 {
 		t.Errorf("MaxNu = %d, want 3", p.MaxNu())
 	}

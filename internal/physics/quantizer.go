@@ -1,9 +1,6 @@
 package physics
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Quantizer realizes the discrete ordering g of Proposition 1: it places the
 // n logic values of a multi-valued addressing scheme onto equally spaced
@@ -70,37 +67,10 @@ func (q *Quantizer) VTOf(digit int) float64 {
 	return q.vts[digit]
 }
 
-// DopingOf returns the doping concentration (cm^-3) realizing a digit's
-// nominal threshold voltage. It panics for a digit outside [0, n).
-func (q *Quantizer) DopingOf(digit int) float64 {
-	q.check(digit)
-	return q.dopings[digit]
-}
-
-// Levels returns a copy of all nominal threshold voltages, ascending.
-func (q *Quantizer) Levels() []float64 {
-	return append([]float64(nil), q.vts...)
-}
-
 // DopingLevels returns a copy of all doping levels, ascending.
 func (q *Quantizer) DopingLevels() []float64 {
 	return append([]float64(nil), q.dopings...)
 }
-
-// DigitOfVT returns the digit whose level is nearest to vt. Values outside
-// the window clamp to the extreme digits.
-func (q *Quantizer) DigitOfVT(vt float64) int {
-	best, bestDist := 0, math.Inf(1)
-	for k, lv := range q.vts {
-		if d := math.Abs(vt - lv); d < bestDist {
-			best, bestDist = k, d
-		}
-	}
-	return best
-}
-
-// Model returns the underlying VTModel.
-func (q *Quantizer) Model() VTModel { return q.model }
 
 func (q *Quantizer) check(digit int) {
 	if digit < 0 || digit >= q.n {

@@ -9,12 +9,16 @@ func TestPaperExampleQuantizer(t *testing.T) {
 	q := PaperExampleQuantizer()
 	wantVT := []float64{0.1, 0.3, 0.5}
 	wantND := []float64{2e18, 4e18, 9e18}
+	nd := q.DopingLevels()
+	if len(nd) != 3 {
+		t.Fatalf("DopingLevels = %v, want 3 levels", nd)
+	}
 	for k := 0; k < 3; k++ {
 		if got := q.VTOf(k); math.Abs(got-wantVT[k]) > 1e-12 {
 			t.Errorf("VTOf(%d) = %g, want %g", k, got, wantVT[k])
 		}
-		if got := q.DopingOf(k); math.Abs(got-wantND[k])/wantND[k] > 1e-9 {
-			t.Errorf("DopingOf(%d) = %g, want %g", k, got, wantND[k])
+		if math.Abs(nd[k]-wantND[k])/wantND[k] > 1e-9 {
+			t.Errorf("DopingLevels()[%d] = %g, want %g", k, nd[k], wantND[k])
 		}
 	}
 	if got := q.Margin(); math.Abs(got-0.1) > 1e-12 {
@@ -27,9 +31,8 @@ func TestQuantizerBinaryWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := q.Levels()
-	if math.Abs(lv[0]-0.25) > 1e-12 || math.Abs(lv[1]-0.75) > 1e-12 {
-		t.Errorf("binary levels = %v, want [0.25 0.75]", lv)
+	if lo, hi := q.VTOf(0), q.VTOf(1); math.Abs(lo-0.25) > 1e-12 || math.Abs(hi-0.75) > 1e-12 {
+		t.Errorf("binary levels = [%g %g], want [0.25 0.75]", lo, hi)
 	}
 	if math.Abs(q.Margin()-0.25) > 1e-12 {
 		t.Errorf("binary margin = %g, want 0.25", q.Margin())
@@ -37,36 +40,6 @@ func TestQuantizerBinaryWindow(t *testing.T) {
 	d := q.DopingLevels()
 	if d[0] >= d[1] {
 		t.Errorf("doping levels not increasing: %v", d)
-	}
-}
-
-func TestQuantizerDigitOfVT(t *testing.T) {
-	q := PaperExampleQuantizer()
-	cases := []struct {
-		vt   float64
-		want int
-	}{
-		{0.1, 0}, {0.3, 1}, {0.5, 2},
-		{0.19, 0}, {0.21, 1}, {-5, 0}, {5, 2},
-	}
-	for _, c := range cases {
-		if got := q.DigitOfVT(c.vt); got != c.want {
-			t.Errorf("DigitOfVT(%g) = %d, want %d", c.vt, got, c.want)
-		}
-	}
-}
-
-func TestQuantizerRoundTripDigits(t *testing.T) {
-	for n := 2; n <= 6; n++ {
-		q, err := NewQuantizer(DefaultPhysicalModel(), n, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < n; k++ {
-			if got := q.DigitOfVT(q.VTOf(k)); got != k {
-				t.Errorf("n=%d: digit %d round-trips to %d", n, k, got)
-			}
-		}
 	}
 }
 
@@ -103,20 +76,12 @@ func TestQuantizerWindowAndCopies(t *testing.T) {
 	if lo != 0 || hi != 0.6 {
 		t.Errorf("Window = %g,%g", lo, hi)
 	}
-	lv := q.Levels()
-	lv[0] = 99
-	if q.VTOf(0) == 99 {
-		t.Error("Levels leaked internal slice")
-	}
 	d := q.DopingLevels()
 	d[0] = 99
-	if q.DopingOf(0) == 99 {
+	if q.DopingLevels()[0] == 99 {
 		t.Error("DopingLevels leaked internal slice")
 	}
 	if q.N() != 3 {
 		t.Errorf("N = %d", q.N())
-	}
-	if q.Model() == nil {
-		t.Error("Model() returned nil")
 	}
 }

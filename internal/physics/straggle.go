@@ -57,12 +57,6 @@ func (s *StraggleModel) RegionVolume() float64 {
 	return s.RegionLength * s.WireWidth * s.WireHeight
 }
 
-// DopantCount returns the expected number of dopant atoms in a region doped
-// to concentration nd (cm^-3).
-func (s *StraggleModel) DopantCount(nd float64) float64 {
-	return nd * s.RegionVolume()
-}
-
 // SigmaT returns the threshold-voltage standard deviation of a single dose
 // that sets the region to concentration nd:
 //

@@ -29,8 +29,8 @@ func TestStraggleVolumeAndCount(t *testing.T) {
 		t.Errorf("RegionVolume = %g", got)
 	}
 	// At 5e18 cm^-3 the region holds ~96 dopants: countable, hence noisy.
-	if got := s.DopantCount(5e18); math.Abs(got-96) > 1 {
-		t.Errorf("DopantCount = %g, want ~96", got)
+	if got := 5e18 * s.RegionVolume(); math.Abs(got-96) > 1 {
+		t.Errorf("dopant count = %g, want ~96", got)
 	}
 }
 
@@ -89,8 +89,8 @@ func TestStraggleSigmaTMonotoneLevels(t *testing.T) {
 	// σ_T is finite and positive at every quantizer level for ternary too.
 	s := DefaultStraggleModel()
 	q, _ := NewQuantizer(s.Model, 3, 0, 1)
-	for k := 0; k < 3; k++ {
-		sig, err := s.SigmaT(q.DopingOf(k))
+	for k, nd := range q.DopingLevels() {
+		sig, err := s.SigmaT(nd)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,29 +127,3 @@ func (t Transistor) ReadGroup(vts [][]float64, va []float64, target int) (GroupR
 	out.WorstOffRatio = on / worst
 	return out, nil
 }
-
-// Sensable reports whether a readout distinguishes the addressed wire with
-// the given minimum on/off current ratio (e.g. 10 for a simple sense
-// amplifier).
-func (r GroupReadout) Sensable(minRatio float64) bool {
-	return r.OnCurrentRatio >= minRatio
-}
-
-// ReadPower returns the static power drawn from a sense voltage vsense while
-// addressing the target wire of a group: the on-current through the selected
-// wire plus the parasitic leakage of every unselected wire,
-// P = V²·(G_on + ΣG_leak). Minimizing decoder leakage is what bounds the
-// contact-group size on the power side, complementing the uniqueness bound.
-func (t Transistor) ReadPower(vts [][]float64, va []float64, target int, vsense float64) (float64, error) {
-	if target < 0 || target >= len(vts) {
-		return 0, fmt.Errorf("readout: target %d outside group of %d wires", target, len(vts))
-	}
-	if vsense <= 0 {
-		return 0, fmt.Errorf("readout: non-positive sense voltage %g", vsense)
-	}
-	total := 0.0
-	for _, vt := range vts {
-		total += t.WireConductance(vt, va)
-	}
-	return vsense * vsense * total, nil
-}

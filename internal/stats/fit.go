@@ -26,40 +26,3 @@ func Correlation(xs, ys []float64) float64 {
 	}
 	return cov / (sx * sy)
 }
-
-// Line is a fitted y = Slope·x + Intercept model.
-type Line struct {
-	Slope, Intercept float64
-	// R2 is the coefficient of determination of the fit.
-	R2 float64
-}
-
-// LinearFit performs ordinary least squares on paired samples. It returns a
-// zero Line with NaN fields for fewer than two points or a degenerate x.
-func LinearFit(xs, ys []float64) Line {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return Line{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN()}
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return Line{Slope: math.NaN(), Intercept: math.NaN(), R2: math.NaN()}
-	}
-	slope := sxy / sxx
-	line := Line{Slope: slope, Intercept: my - slope*mx}
-	if syy == 0 {
-		line.R2 = 1 // constant y is fit perfectly by the horizontal line
-	} else {
-		line.R2 = sxy * sxy / (sxx * syy)
-	}
-	return line
-}
-
-// At evaluates the fitted line.
-func (l Line) At(x float64) float64 { return l.Slope*x + l.Intercept }

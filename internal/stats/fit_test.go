@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestCovarianceKnown(t *testing.T) {
@@ -47,54 +46,5 @@ func TestCorrelationIndependentNearZero(t *testing.T) {
 	}
 	if got := Correlation(xs, ys); math.Abs(got) > 0.03 {
 		t.Errorf("independent correlation = %g", got)
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	l := LinearFit(xs, ys)
-	if !almostEqual(l.Slope, 2, 1e-12) || !almostEqual(l.Intercept, 1, 1e-12) {
-		t.Errorf("fit = %+v", l)
-	}
-	if !almostEqual(l.R2, 1, 1e-12) {
-		t.Errorf("R2 = %g", l.R2)
-	}
-	if !almostEqual(l.At(10), 21, 1e-12) {
-		t.Errorf("At(10) = %g", l.At(10))
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	l := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if !math.IsNaN(l.Slope) {
-		t.Error("degenerate x should give NaN slope")
-	}
-	l = LinearFit([]float64{1}, []float64{1})
-	if !math.IsNaN(l.Slope) {
-		t.Error("single point should give NaN slope")
-	}
-	l = LinearFit([]float64{1, 2, 3}, []float64{4, 4, 4})
-	if !almostEqual(l.Slope, 0, 1e-12) || !almostEqual(l.R2, 1, 1e-12) {
-		t.Errorf("constant y fit = %+v", l)
-	}
-}
-
-func TestLinearFitRecoversNoisyLineProperty(t *testing.T) {
-	f := func(seed uint64, slopeRaw, interceptRaw int8) bool {
-		slope := float64(slopeRaw) / 16
-		intercept := float64(interceptRaw) / 16
-		r := NewRNG(seed)
-		xs := make([]float64, 200)
-		ys := make([]float64, 200)
-		for i := range xs {
-			xs[i] = float64(i) / 10
-			ys[i] = slope*xs[i] + intercept + r.Normal(0, 0.01)
-		}
-		l := LinearFit(xs, ys)
-		return math.Abs(l.Slope-slope) < 0.01 && math.Abs(l.Intercept-intercept) < 0.05
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }

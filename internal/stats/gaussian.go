@@ -37,29 +37,6 @@ func (g Gaussian) ProbWithin(delta float64) float64 {
 	return math.Erf(delta / (g.Sigma * math.Sqrt2))
 }
 
-// ProbWithinBatch evaluates ProbWithin over a batch of deltas in one call,
-// writing into dst (which is grown if needed) and returning it. Entry k is
-// bit-identical to g.ProbWithin(deltas[k]); batching exists so tight sweep
-// loops evaluate the erf tail without a function call and bounds checks per
-// element, and so callers can reuse one output buffer across evaluations.
-func (g Gaussian) ProbWithinBatch(deltas, dst []float64) []float64 {
-	if cap(dst) < len(deltas) {
-		dst = make([]float64, len(deltas))
-	}
-	dst = dst[:len(deltas)]
-	for k, delta := range deltas {
-		switch {
-		case delta < 0:
-			dst[k] = 0
-		case g.Sigma == 0:
-			dst[k] = 1
-		default:
-			dst[k] = math.Erf(delta / (g.Sigma * math.Sqrt2))
-		}
-	}
-	return dst
-}
-
 // ProbWithinScaled evaluates P(|N(Mu, (Sigma·scale)²) - Mu| <= delta) for a
 // batch of sigma scale factors, writing into dst (grown if needed) and
 // returning it. Entry k is bit-identical to
@@ -85,29 +62,7 @@ func (g Gaussian) ProbWithinScaled(scales []float64, delta float64, dst []float6
 	return dst
 }
 
-// ProbBetween returns P(lo <= X <= hi). It returns 0 when hi < lo.
-func (g Gaussian) ProbBetween(lo, hi float64) float64 {
-	if hi < lo {
-		return 0
-	}
-	return g.CDF(hi) - g.CDF(lo)
-}
-
-// Sample draws one variate using the supplied generator.
-func (g Gaussian) Sample(r *RNG) float64 {
-	return r.Normal(g.Mu, g.Sigma)
-}
-
 // String implements fmt.Stringer.
 func (g Gaussian) String() string {
 	return fmt.Sprintf("N(%g, %g²)", g.Mu, g.Sigma)
-}
-
-// AddIndependent returns the distribution of the sum of two independent
-// Gaussian variates: means add, variances add.
-func AddIndependent(a, b Gaussian) Gaussian {
-	return Gaussian{
-		Mu:    a.Mu + b.Mu,
-		Sigma: math.Sqrt(a.Sigma*a.Sigma + b.Sigma*b.Sigma),
-	}
 }

@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-// TestProbWithinBatchMatchesScalar pins the bit-equivalence contract of the
-// batched tail evaluation, including the negative-delta and point-mass
-// branches.
-func TestProbWithinBatchMatchesScalar(t *testing.T) {
-	deltas := []float64{-1, 0, 1e-6, 0.01, 0.05, 0.25, 1, 10}
-	for _, g := range []Gaussian{{0, 0.05}, {0.3, 0.158}, {0, 0}} {
-		got := g.ProbWithinBatch(deltas, nil)
-		if len(got) != len(deltas) {
-			t.Fatalf("%v: len = %d, want %d", g, len(got), len(deltas))
-		}
-		for k, delta := range deltas {
-			if want := g.ProbWithin(delta); got[k] != want {
-				t.Errorf("%v.ProbWithinBatch[%d] = %v, scalar = %v", g, k, got[k], want)
-			}
-		}
-	}
-}
-
-// TestProbWithinBatchReusesBuffer verifies the arena contract: a
-// sufficiently large dst is written in place, not reallocated.
-func TestProbWithinBatchReusesBuffer(t *testing.T) {
-	g := Gaussian{0, 0.05}
-	buf := make([]float64, 8)
-	out := g.ProbWithinBatch([]float64{0.1, 0.2}, buf)
-	if &out[0] != &buf[0] {
-		t.Error("ProbWithinBatch reallocated a sufficient buffer")
-	}
-	if len(out) != 2 {
-		t.Errorf("len = %d, want 2", len(out))
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		g.ProbWithinBatch([]float64{0.1, 0.2, 0.3}, buf)
-	}); n != 0 {
-		t.Errorf("ProbWithinBatch with a reused buffer allocates %v times", n)
-	}
-}
-
 // TestProbWithinScaledMatchesScalar pins the scaled-sigma batch against the
 // scalar construction it replaces in yield.Analyzer.RegionProb: the √ν dose
 // scaling must be bit-identical.

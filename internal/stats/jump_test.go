@@ -25,18 +25,6 @@ func TestJumpKnownAnswer(t *testing.T) {
 		}
 	}
 
-	lj := r.Clone()
-	lj.LongJump()
-	wantLongState := [4]uint64{0xa60f65054d25f1dc, 0x582138dbb261678b, 0xb68886680026f4c0, 0xfd9e1b45532d4caa}
-	if lj.s != wantLongState {
-		t.Fatalf("post-LongJump state = %#v, want %#v", lj.s, wantLongState)
-	}
-	for i, want := range []uint64{0xeb7f4f2d8f99babc, 0xaa4f957225aa475d, 0x59547f6133a6e2b1} {
-		if got := lj.Uint64(); got != want {
-			t.Errorf("post-LongJump draw %d = %#x, want %#x", i, got, want)
-		}
-	}
-
 	s2 := r.Split(2)
 	for i, want := range []uint64{0xabcb40cf0d93cb5a, 0x49ff30ce65f73b41, 0x9a566a67aa17d236} {
 		if got := s2.Uint64(); got != want {

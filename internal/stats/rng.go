@@ -134,12 +134,9 @@ func (r *RNG) Clone() *RNG {
 	return &c
 }
 
-// jump256 and longJump256 are the standard xoshiro256** jump polynomials:
-// applying them is equivalent to 2^128 (resp. 2^192) calls of Uint64.
-var (
-	jump256     = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	longJump256 = [4]uint64{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}
-)
+// jump256 is the standard xoshiro256** jump polynomial: applying it is
+// equivalent to 2^128 calls of Uint64.
+var jump256 = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
 
 // advance applies one of the jump polynomials to the generator state and
 // drops any cached Gaussian variate (the cache belongs to the pre-jump
@@ -166,10 +163,6 @@ func (r *RNG) advance(poly [4]uint64) {
 // successive jump points there is room for 2^128 draws, so generators
 // separated by jumps never overlap in practice.
 func (r *RNG) Jump() { r.advance(jump256) }
-
-// LongJump advances r by 2^192 steps — one long-jump region holds 2^64 jump
-// regions, enabling two-level stream hierarchies.
-func (r *RNG) LongJump() { r.advance(longJump256) }
 
 // Split returns the i-th jump substream of r without mutating r: a copy of
 // r's state advanced by i+1 jumps. Each substream starts 2^128 steps after

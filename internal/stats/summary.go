@@ -103,28 +103,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Histogram counts xs into n equal-width bins spanning [lo, hi]. Values
-// outside the range are clamped into the first/last bin. It returns nil when
-// n <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	if n <= 0 || hi <= lo {
-		return nil
-	}
-	bins := make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	return bins
-}
-
 // BinomialTailGE returns P(X >= k) for X ~ Binomial(n, p), evaluated in log
 // space for numerical stability. It returns 1 for k <= 0 and 0 for k > n.
 func BinomialTailGE(n int, p float64, k int) float64 {

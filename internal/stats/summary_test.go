@@ -74,36 +74,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.6, 0.9, -5, 5}
-	bins := Histogram(xs, 0, 1, 2)
-	// -5 clamps into bin 0; 5 and 0.9 and 0.6 land in bin 1.
-	if bins[0] != 3 || bins[1] != 3 {
-		t.Errorf("Histogram = %v", bins)
-	}
-	if Histogram(xs, 1, 0, 2) != nil || Histogram(xs, 0, 1, 0) != nil {
-		t.Error("invalid histogram parameters should return nil")
-	}
-}
-
-func TestHistogramCountsAllProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v) / 256
-		}
-		bins := Histogram(xs, 0, 1, 8)
-		total := 0
-		for _, b := range bins {
-			total += b
-		}
-		return total == len(xs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuantileWithinRangeProperty(t *testing.T) {
 	f := func(raw []int8, qRaw uint8) bool {
 		if len(raw) == 0 {

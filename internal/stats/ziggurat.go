@@ -87,16 +87,6 @@ func (r *RNG) NormFloat64Fast() float64 {
 	}
 }
 
-// NormalFast returns a normal variate with the given mean and standard
-// deviation using the ziggurat sampler. A non-positive sigma returns mean
-// exactly without consuming a draw, matching Normal's contract.
-func (r *RNG) NormalFast(mean, sigma float64) float64 {
-	if sigma <= 0 {
-		return mean
-	}
-	return mean + sigma*r.NormFloat64Fast()
-}
-
 func absInt32(v int32) uint32 {
 	if v < 0 {
 		return uint32(-int64(v))

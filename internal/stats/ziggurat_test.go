@@ -84,24 +84,6 @@ func TestNormFloat64FastDeterministic(t *testing.T) {
 	}
 }
 
-// TestNormalFastSigmaZero checks the no-draw contract for non-positive
-// sigma: the mean comes back exactly and the stream does not advance.
-func TestNormalFastSigmaZero(t *testing.T) {
-	r := NewRNG(3)
-	ref := NewRNG(3)
-	for i := 0; i < 10; i++ {
-		if v := r.NormalFast(2.5, 0); v != 2.5 {
-			t.Fatalf("NormalFast with sigma 0 returned %g", v)
-		}
-		if v := r.NormalFast(-1, -0.5); v != -1 {
-			t.Fatalf("NormalFast with negative sigma returned %g", v)
-		}
-	}
-	if r.Uint64() != ref.Uint64() {
-		t.Fatal("NormalFast with sigma <= 0 consumed draws")
-	}
-}
-
 // BenchmarkNormFloat64 and BenchmarkNormFloat64Fast quantify the sampler
 // swap on the Monte-Carlo hot path.
 func BenchmarkNormFloat64(b *testing.B) {

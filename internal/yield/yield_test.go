@@ -201,3 +201,61 @@ func TestWiderMarginNeverHurts(t *testing.T) {
 		t.Errorf("larger margin reduced yield: %g < %g", yl, ys)
 	}
 }
+
+// TestSweepSigmaMonotone checks that the half-cave yield falls strictly
+// as the per-dose deviation grows at a fixed margin, and that a zero sigma
+// is rejected.
+func TestSweepSigmaMonotone(t *testing.T) {
+	g, _ := code.NewGray(2, 10)
+	plan := testPlan(t, g, 20)
+	contact := geometry.ContactPlan{Groups: 1}
+	sigmas := []float64{0.02, 0.05, 0.08, 0.12}
+	prev := math.Inf(1)
+	for _, s := range sigmas {
+		y := Analyzer{SigmaT: s, Margin: 0.25}.AnalyzeHalfCave(plan, contact).Yield
+		if y >= prev {
+			t.Errorf("yield not decreasing with sigma at %g", s)
+		}
+		prev = y
+	}
+	if err := (Analyzer{SigmaT: 0, Margin: 0.25}).Validate(); err == nil {
+		t.Error("zero sigma accepted")
+	}
+}
+
+// TestSweepMarginMonotone checks that the half-cave yield rises strictly
+// with the sensing margin at a fixed sigma, and that a negative margin is
+// rejected.
+func TestSweepMarginMonotone(t *testing.T) {
+	g, _ := code.NewGray(2, 10)
+	plan := testPlan(t, g, 20)
+	contact := geometry.ContactPlan{Groups: 1}
+	margins := []float64{0.05, 0.1, 0.2, 0.3}
+	prev := math.Inf(-1)
+	for _, m := range margins {
+		y := Analyzer{SigmaT: DefaultSigmaT, Margin: m}.AnalyzeHalfCave(plan, contact).Yield
+		if y <= prev {
+			t.Errorf("yield not increasing with margin at %g", m)
+		}
+		prev = y
+	}
+	if err := (Analyzer{SigmaT: DefaultSigmaT, Margin: -1}).Validate(); err == nil {
+		t.Error("negative margin accepted")
+	}
+}
+
+// TestYieldDependsOnMarginOverSigma checks that the yield is a function of
+// margin/σ_T alone: scaling both by the same factor leaves it unchanged,
+// so its log-sensitivities to the two are equal and opposite.
+func TestYieldDependsOnMarginOverSigma(t *testing.T) {
+	g, _ := code.NewGray(2, 10)
+	plan := testPlan(t, g, 20)
+	contact := geometry.ContactPlan{Groups: 1}
+	base := Analyzer{SigmaT: DefaultSigmaT, Margin: 0.25}.AnalyzeHalfCave(plan, contact).Yield
+	for _, k := range []float64{0.5, 2, 3} {
+		y := Analyzer{SigmaT: DefaultSigmaT * k, Margin: 0.25 * k}.AnalyzeHalfCave(plan, contact).Yield
+		if math.Abs(y-base) > 1e-12 {
+			t.Errorf("scaling σ_T and margin by %g moved the yield from %g to %g", k, base, y)
+		}
+	}
+}

@@ -17,8 +17,12 @@
 #             lands in ci-artifacts/nwlint.json; zero diagnostics also
 #             means fix-clean, since a suggested fix only exists on a
 #             diagnostic
+#          5. (cd _perfbench && go vet ./...)  — type-checks the benchmark
+#             harness, which ./... skips because of the leading
+#             underscore, so deleting API it calls fails here and not
+#             only when the benchmark runs
 #
-#   test   5. go test -race -count=1 ./...  — full suite under the race
+#   test   6. go test -race -count=1 ./...  — full suite under the race
 #             detector, cache disabled; this is what keeps internal/par,
 #             the shared generator cache and the jobs runner race-clean
 #             and exercises the serial-vs-parallel determinism tests. It
@@ -31,17 +35,17 @@
 #             engines with byte-identical output. TestCLIObservability
 #             checks the nwsim -metrics snapshot and that stdout is
 #             byte-identical with metrics on and off
-#          6. coverage gate — go run ./scripts/covergate enforces
+#          7. coverage gate — go run ./scripts/covergate enforces
 #             per-package statement-coverage floors over
 #             internal/{par,code,dataset,obs,engine,jobs,cluster,nwerr,
 #             lint,stats,yield}
 #
-#   bench  7. bench regression — scripts/bench.sh measures a fresh
+#   bench  8. bench regression — scripts/bench.sh measures a fresh
 #             BENCH_parallel.json into ci-artifacts/ and
 #             scripts/benchcmp.go compares it against the committed
 #             baseline (±20% ns/op). Warns by default; set
 #             CI_BENCH_STRICT=1 to fail on regression.
-#          8. jobs kill/resume smoke — submits a multi-chunk sweep job
+#          9. jobs kill/resume smoke — submits a multi-chunk sweep job
 #             through nwsweep -job, SIGKILLs it mid-run, resumes from the
 #             checkpoint store and asserts the final dataset is
 #             byte-identical to an uninterrupted run; a second resume of
@@ -49,7 +53,7 @@
 #             by the computed=0 accounting line and by the obs
 #             jobs/chunks_* counters. The job store is preserved under
 #             ci-artifacts/job-smoke/ when the smoke fails.
-#          9. distributed jobs smoke — starts two nwserve peers, runs
+#         10. distributed jobs smoke — starts two nwserve peers, runs
 #             the same sweep job through nwsweep -peers so chunks route
 #             over the consistent-hash ring, SIGKILLs one peer
 #             mid-job and asserts the job still completes with output
@@ -57,7 +61,7 @@
 #             nonzero peer_served count in the ring accounting line. The
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
-#         10. fuzz smoke — 10s of real fuzzing per fuzz target of every
+#         11. fuzz smoke — 10s of real fuzzing per fuzz target of every
 #             package under internal/, auto-discovered from the test files
 #
 # Every stage ends with a per-step wall-time table (rendered by
@@ -123,6 +127,10 @@ run_build() {
 
 run_vet() {
 	go vet ./...
+}
+
+run_perfbench_vet() {
+	(cd _perfbench && go vet ./...)
 }
 
 run_nwlint() {
@@ -398,6 +406,7 @@ if [ "$stage" = "lint" ] || [ "$stage" = "all" ]; then
 	step "go build" run_build
 	step "go vet" run_vet
 	step "nwlint" run_nwlint
+	step "perfbench vet" run_perfbench_vet
 fi
 
 if [ "$stage" = "test" ] || [ "$stage" = "all" ]; then
