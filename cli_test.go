@@ -434,9 +434,24 @@ func TestCLIStructuredOutput(t *testing.T) {
 		if code != 2 || !strings.Contains(stderr, "margin factor must be positive and finite, got -1") {
 			t.Errorf("nwdecoder -margin -1: exit %d, want 2 with the factor -1 named (%s)", code, stderr)
 		}
-		code, stderr = runFail(t, buildCmd(t, dir, "nwsweep"), "-lengths", "5")
+		sweepBin := buildCmd(t, dir, "nwsweep")
+		code, stderr = runFail(t, sweepBin, "-lengths", "5")
 		if code != 2 {
 			t.Errorf("nwsweep -lengths 5: exit %d, want 2 (%s)", code, stderr)
+		}
+		// A stored spec that describes another job is a corrupt store:
+		// resuming must not compute the job the spec does describe.
+		store := filepath.Join(dir, "mismatched-store")
+		const id = "j-0000000000000000"
+		if err := os.MkdirAll(filepath.Join(store, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(store, id, "spec.json"), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stderr = runFail(t, sweepBin, "-resume", id, "-job-store", store)
+		if code != 1 || !strings.Contains(stderr, "corrupt") {
+			t.Errorf("nwsweep -resume over a mismatched spec: exit %d, want 1 with corruption reported (%s)", code, stderr)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,8 +11,10 @@ import (
 	"reflect"
 	"testing"
 
+	"nwdec/internal/core"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
+	"nwdec/internal/sweep"
 )
 
 // corruptChunk overwrites a checkpoint file with bytes that cannot parse
@@ -118,6 +121,36 @@ func TestResumeRecomputesCorruptChunk(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Error("recovered dataset differs from undamaged sweep output")
+	}
+}
+
+// TestResumeRejectsMismatchedSpec: a spec.json that derives another job
+// id (here overwritten with {}, which derives the default grid's id) is
+// ErrCorrupt to Resume and Status, and nothing is submitted in its place.
+func TestResumeRejectsMismatchedSpec(t *testing.T) {
+	root := t.TempDir()
+	fs, err := NewFSStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := runToCompletion(t, context.Background(), fs, testSpec())
+	if err := os.WriteFile(filepath.Join(root, st.ID, "spec.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other := Spec{}.ID()
+	r := NewRunner(fs, Options{})
+	defer r.Close()
+	if _, err := r.Resume(context.Background(), st.ID); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Resume over a mismatched spec = %v, want ErrCorrupt", err)
+	}
+	if _, err := r.Status(st.ID); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Status over a mismatched spec = %v, want ErrCorrupt", err)
+	}
+	if _, err := r.Status(other); !nwerr.IsNotFound(err) {
+		t.Errorf("Status(%s) = %v, want NotFound: the spec's own job was submitted", other, err)
+	}
+	if ids, err := fs.Jobs(); err != nil || !reflect.DeepEqual(ids, []string{st.ID}) {
+		t.Errorf("store jobs = %v (%v), want only %s", ids, err, st.ID)
 	}
 }
 
@@ -272,6 +305,77 @@ func FuzzSpecJSON(f *testing.F) {
 		}
 		if back.ID() != spec.ID() {
 			t.Fatalf("round trip moved the job from %s to %s\n%s", spec.ID(), back.ID(), data)
+		}
+	})
+}
+
+// FuzzChunkJSON fuzzes checkpoint decoding at the store. Each input is
+// the chunk-00000.json of a job in a filesystem store: GetChunk returns a
+// dataset or an ErrCorrupt-wrapped error that is not NotFound-class,
+// never both, and never panics. An accepted chunk written back with
+// PutChunk reads back as an equal dataset, and its file is a fixed point
+// of the write/read cycle.
+func FuzzChunkJSON(f *testing.F) {
+	rows, err := sweep.EvalPoints(context.Background(), 1, testSpec().Grid.Points(core.Config{})[:2])
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := sweep.Dataset(rows).JSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"name":"sweep","columns":[{"name":"n","kind":"int"}],"rows":[[1],[-0]]}`))
+	f.Add([]byte(`{"name":"sweep","rows":[{"co`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte{})
+	// One store serves every input: each overwrites the same chunk file.
+	const id = "j-fuzz"
+	fs, err := NewFSStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(fs.jobDir(id), chunkFile(0))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := fs.GetChunk(id, 0)
+		if err != nil {
+			if ds != nil {
+				t.Fatalf("GetChunk returned both a dataset and %v", err)
+			}
+			if !errors.Is(err, ErrCorrupt) || nwerr.IsNotFound(err) {
+				t.Fatalf("GetChunk error %v is not ErrCorrupt-only", err)
+			}
+			return
+		}
+		if err := fs.PutChunk(id, 0, ds); err != nil {
+			t.Fatalf("accepted chunk does not persist: %v\n%q", err, data)
+		}
+		first, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := fs.GetChunk(id, 0)
+		if err != nil {
+			t.Fatalf("rewritten chunk does not load: %v\n%s", err, first)
+		}
+		if !reflect.DeepEqual(back, ds) {
+			t.Fatalf("rewritten chunk reads back as %+v, want %+v", back, ds)
+		}
+		if err := fs.PutChunk(id, 0, back); err != nil {
+			t.Fatal(err)
+		}
+		second, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("chunk file is not a fixed point:\n%s\nvs\n%s", first, second)
 		}
 	})
 }

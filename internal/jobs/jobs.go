@@ -151,5 +151,7 @@ var ErrAlreadyComplete = nwerr.Invalid(errors.New("jobs: job already complete"))
 // or hand-damaged chunk file. Stores wrap it (errors.Is-matchable) so
 // the Runner can treat a corrupt chunk as missing and recompute it
 // instead of failing the whole job; every write is atomic, so the next
-// checkpoint of the same index simply replaces the damaged file.
+// checkpoint of the same index simply replaces the damaged file. The
+// Runner also wraps it when a stored spec derives an id other than the
+// one it is stored under; that job cannot be resumed or reported.
 var ErrCorrupt = errors.New("jobs: corrupt checkpoint")

@@ -164,11 +164,25 @@ func (r *Runner) Resume(ctx context.Context, id string) (Status, error) {
 		return st, nil
 	}
 	r.mu.Unlock()
-	spec, err := r.store.GetSpec(id)
+	spec, err := r.storedSpec(id)
 	if err != nil {
 		return Status{}, err
 	}
 	return r.Submit(ctx, spec)
+}
+
+// storedSpec loads the spec persisted under id. A spec that derives
+// another id (a spec.json overwritten or copied from another job) is
+// ErrCorrupt: resuming it would compute a different job.
+func (r *Runner) storedSpec(id string) (Spec, error) {
+	spec, err := r.store.GetSpec(id)
+	if err != nil {
+		return Spec{}, err
+	}
+	if got := spec.ID(); got != id {
+		return Spec{}, fmt.Errorf("jobs: spec stored under %s describes job %s: %w", id, got, ErrCorrupt)
+	}
+	return spec, nil
 }
 
 // run executes one job's chunk loop on its own goroutine. The loop is
@@ -287,7 +301,7 @@ func (r *Runner) Status(id string) (Status, error) {
 		return st, nil
 	}
 	r.mu.Unlock()
-	spec, err := r.store.GetSpec(id)
+	spec, err := r.storedSpec(id)
 	if err != nil {
 		return Status{}, err
 	}

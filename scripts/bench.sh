@@ -11,8 +11,10 @@
 # the baseline it is compared against). The JSON is an array of one
 # metadata object {meta, benchtime, gomaxprocs, cpu} followed by one object
 # {name, workers, iterations, ns_per_op, bytes_per_op, allocs_per_op} per
-# benchmark. The metadata records the host parallelism: on a single-core
-# host the BenchmarkParScaling curve is necessarily flat, because the
+# benchmark. The benchmarks run at GOMAXPROCS=1, the setting of the
+# committed baseline, on any core count; scripts/benchcmp.go refuses to
+# compare files whose metadata records different settings. At one
+# processor the BenchmarkParScaling curve is necessarily flat, because the
 # engine changes only where work runs, never what is computed.
 set -eu
 
@@ -23,8 +25,8 @@ out="${2:-BENCH_parallel.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' \
-	-bench 'BenchmarkFig7$|BenchmarkFig8$|BenchmarkMonteCarloValidation$|BenchmarkSweepGrid$|BenchmarkReadoutStudy$|BenchmarkNoiseStudy$|BenchmarkParScaling|BenchmarkMonteCarloScaling|BenchmarkChunkSweep|BenchmarkJobCheckpoint|BenchmarkDistributedChunks' \
+GOMAXPROCS=1 go test -run '^$' \
+	-bench 'BenchmarkFig7$|BenchmarkFig8$|BenchmarkMonteCarloValidation$|BenchmarkSweepGrid$|BenchmarkReadoutStudy$|BenchmarkNoiseStudy$|BenchmarkParScaling|BenchmarkMonteCarloScaling|BenchmarkChunkSweep|BenchmarkJobCheckpoint|BenchmarkDistributedChunks|BenchmarkCodeGeneration$|BenchmarkPlanConstruction$|BenchmarkYieldAnalysis$|BenchmarkFunctionalLayer$|BenchmarkRegionProb$|BenchmarkEngineCold$|BenchmarkEngineCacheHit$' \
 	-benchmem -benchtime "$benchtime" . | tee "$tmp"
 
 awk -v benchtime="$benchtime" '

@@ -6,12 +6,17 @@
 // the environment) a regression fails the build. Benchmarks present in
 // only one of the two files are reported but never fail the gate.
 //
+// Two files measured at different GOMAXPROCS settings (the metadata
+// object's gomaxprocs) are not compared at all: the tool prints both
+// values and exits 2. A different CPU model is printed but compared
+// anyway, because hosted CI runners change CPU between runs.
+//
 // Usage:
 //
 //	go run scripts/benchcmp.go -baseline BENCH_parallel.json -current bench-new.json [-threshold 0.20] [-strict]
 //
 // Exit codes: 0 ok (or warn-only regressions), 1 regression under -strict,
-// 2 usage or unreadable input.
+// 2 usage, unreadable input or differing gomaxprocs.
 package main
 
 import (
@@ -24,9 +29,11 @@ import (
 )
 
 // benchEntry is one row of the bench.sh JSON array. The metadata object
-// sets Meta and is skipped during comparison.
+// sets Meta, GOMAXPROCS and CPU, and is skipped during comparison.
 type benchEntry struct {
 	Meta        bool    `json:"meta"`
+	GOMAXPROCS  int     `json:"gomaxprocs"`
+	CPU         string  `json:"cpu"`
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -72,15 +79,23 @@ func run(args []string) (string, int) {
 		fs.Usage()
 		return sb.String(), 2
 	}
-	base, err := loadBench(*baseline)
+	base, baseMeta, err := loadBench(*baseline)
 	if err != nil {
 		fmt.Fprintf(&sb, "benchcmp: %v\n", err)
 		return sb.String(), 2
 	}
-	cur, err := loadBench(*current)
+	cur, curMeta, err := loadBench(*current)
 	if err != nil {
 		fmt.Fprintf(&sb, "benchcmp: %v\n", err)
 		return sb.String(), 2
+	}
+	if baseMeta.GOMAXPROCS != curMeta.GOMAXPROCS {
+		fmt.Fprintf(&sb, "benchcmp: refusing to compare: baseline gomaxprocs %d, current gomaxprocs %d\n",
+			baseMeta.GOMAXPROCS, curMeta.GOMAXPROCS)
+		return sb.String(), 2
+	}
+	if baseMeta.CPU != curMeta.CPU {
+		fmt.Fprintf(&sb, "benchcmp: note: baseline cpu %q, current cpu %q\n", baseMeta.CPU, curMeta.CPU)
 	}
 
 	comps, onlyBase, onlyCur := compare(base, cur, *threshold)
@@ -120,27 +135,31 @@ func run(args []string) (string, int) {
 	}
 }
 
-// loadBench reads one bench.sh JSON file, dropping the metadata object.
-func loadBench(path string) (map[string]benchEntry, error) {
+// loadBench reads one bench.sh JSON file into its benchmark entries by
+// name and its metadata object (zero when the file has none).
+func loadBench(path string) (map[string]benchEntry, benchEntry, error) {
+	var meta benchEntry
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
+		return nil, meta, fmt.Errorf("reading %s: %w", path, err)
 	}
 	var entries []benchEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
+		return nil, meta, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	out := make(map[string]benchEntry, len(entries))
 	for _, e := range entries {
-		if e.Meta || e.Name == "" {
-			continue
+		switch {
+		case e.Meta:
+			meta = e
+		case e.Name != "":
+			out[e.Name] = e
 		}
-		out[e.Name] = e
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%s holds no benchmark entries", path)
+		return nil, meta, fmt.Errorf("%s holds no benchmark entries", path)
 	}
-	return out, nil
+	return out, meta, nil
 }
 
 // compare pairs the two runs by benchmark name. A regression is a ns/op or

@@ -175,6 +175,44 @@ func TestSetDifferences(t *testing.T) {
 	}
 }
 
+// TestRefusesMixedGOMAXPROCS: files measured at different GOMAXPROCS are
+// not compared (exit 2, both values printed); a different CPU model is
+// printed and compared anyway.
+func TestRefusesMixedGOMAXPROCS(t *testing.T) {
+	t.Setenv("CI_BENCH_STRICT", "")
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", map[string]float64{"BenchmarkA": 1000})
+	data, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(name, from, to string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(strings.Replace(string(data), from, to, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	mixed := rewrite("gomaxprocs.json", `"gomaxprocs": 4`, `"gomaxprocs": 2`)
+	report, code := run([]string{"-baseline", base, "-current", mixed})
+	if code != 2 {
+		t.Errorf("differing gomaxprocs: exit %d, want 2\n%s", code, report)
+	}
+	if !strings.Contains(report, "gomaxprocs 4") || !strings.Contains(report, "gomaxprocs 2") {
+		t.Errorf("report does not name both settings:\n%s", report)
+	}
+
+	otherCPU := rewrite("cpu.json", `"cpu": "test"`, `"cpu": "other"`)
+	report, code = run([]string{"-baseline", base, "-current", otherCPU, "-strict"})
+	if code != 0 {
+		t.Errorf("differing cpu: exit %d, want 0\n%s", code, report)
+	}
+	if !strings.Contains(report, `"test"`) || !strings.Contains(report, `"other"`) {
+		t.Errorf("report does not name both CPUs:\n%s", report)
+	}
+}
+
 // TestUsageErrors checks the exit-2 paths.
 func TestUsageErrors(t *testing.T) {
 	t.Setenv("CI_BENCH_STRICT", "")
