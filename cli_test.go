@@ -439,6 +439,28 @@ func TestCLIStructuredOutput(t *testing.T) {
 		if code != 2 {
 			t.Errorf("nwsweep -lengths 5: exit %d, want 2 (%s)", code, stderr)
 		}
+		// Values no design can be built from are bad flag values, never
+		// dropped for a default: a negative wire or bit count, a negative
+		// trial count, a non-finite number, and a zero sweep axis value,
+		// which would be computed at the default and labelled 0.
+		jobStore := filepath.Join(dir, "bad-grid-store")
+		for _, tc := range []struct {
+			bin  string
+			args []string
+		}{
+			{decoder, []string{"-wires", "-3"}},
+			{decoder, []string{"-rawbits", "-5"}},
+			{bin, []string{"-exp", "fig7", "-wires", "-3"}},
+			{bin, []string{"-exp", "fig5", "-trials", "-5"}},
+			{sweepBin, []string{"-margins", "0"}},
+			{sweepBin, []string{"-job", "-job-store", jobStore, "-margins", "0"}},
+			{sweepBin, []string{"-job", "-job-store", jobStore, "-sigmas", "NaN"}},
+			{sweepBin, []string{"-job", "-sigmas", "Inf"}},
+		} {
+			if code, stderr := runFail(t, tc.bin, tc.args...); code != 2 {
+				t.Errorf("%s %v: exit %d, want 2 (%s)", filepath.Base(tc.bin), tc.args, code, stderr)
+			}
+		}
 		// A stored spec that describes another job is a corrupt store:
 		// resuming must not compute the job the spec does describe.
 		store := filepath.Join(dir, "mismatched-store")

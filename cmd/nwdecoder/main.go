@@ -12,8 +12,7 @@
 //	          [-metrics text|json|csv|md] [-metrics-out FILE] [-pprof DIR]
 //
 // -format selects the rendering of the design summary (text is the full
-// report; the structured forms carry the one-row analysis table). Designs
-// are resolved through the internal/engine serving layer.
+// report; the structured forms carry the one-row analysis table).
 package main
 
 import (
@@ -25,8 +24,6 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/dataset"
-	"nwdec/internal/engine"
-	"nwdec/internal/geometry"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/viz"
 )
@@ -56,38 +53,33 @@ func main() {
 	if err != nil {
 		c.Exit(err)
 	}
-	cfg := core.Config{CodeType: tp, Base: *base, CodeLength: *length,
-		SigmaT: *sigma, MarginFactor: *margin}
-	if *wires > 0 || *rawBits > 0 {
-		cfg.Spec = geometry.DefaultCrossbarSpec()
-		if *wires > 0 {
-			cfg.Spec.HalfCaveWires = *wires
-		}
-		if *rawBits > 0 {
-			cfg.Spec.RawBits = *rawBits
-		}
-	}
-
-	eng, err := engine.New(engine.Options{})
+	spec, err := cli.Spec(*wires, *rawBits)
 	if err != nil {
 		c.Exit(err)
 	}
-	req := engine.Request{Kind: engine.KindDesign, Config: cfg, Workers: c.Workers}
+	cfg := core.Config{CodeType: tp, Base: *base, CodeLength: *length,
+		Spec: spec, SigmaT: *sigma, MarginFactor: *margin}
+
+	var obj core.Objective
 	if *optimize != "" {
-		obj, err := parseObjective(*optimize)
-		if err != nil {
+		if obj, err = core.ParseObjective(*optimize); err != nil {
 			c.Exit(err)
 		}
-		req.Kind = engine.KindOptimize
-		req.Objective = obj
-		req.Types = code.AllTypes()
-		req.Lengths = []int{4, 6, 8, 10, 12}
 	}
-	resp, err := eng.Do(ctx, req)
+	// core.NewDesign takes no context, so an expired -timeout is caught
+	// before any work starts.
+	if err := ctx.Err(); err != nil {
+		c.Exit(err)
+	}
+	var design *core.Design
+	if *optimize != "" {
+		design, err = core.Optimize(ctx, cfg, code.AllTypes(), []int{4, 6, 8, 10, 12}, obj, c.Workers)
+	} else {
+		design, err = core.NewDesign(cfg)
+	}
 	if err != nil {
 		c.Exit(err)
 	}
-	design := resp.Design
 	if *optimize != "" && c.Format() == dataset.FormatText {
 		fmt.Printf("optimum over all families and lengths (objective %s):\n\n", *optimize)
 	}
@@ -114,7 +106,7 @@ func main() {
 	if c.Format() != dataset.FormatText {
 		// Structured output only: the flow/matrix/mask inspections are
 		// text-form diagnostics.
-		c.Emit(resp.Dataset)
+		c.Emit(design.Dataset())
 		return
 	}
 	fmt.Print(design.Report())
@@ -148,19 +140,6 @@ func main() {
 		}
 		fmt.Printf("total: %d spacers, %d litho/doping passes (Φ)\n",
 			design.Plan.N(), res.LithoSteps)
-	}
-}
-
-func parseObjective(s string) (core.Objective, error) {
-	switch s {
-	case "area":
-		return core.MinBitArea, nil
-	case "yield":
-		return core.MaxYield, nil
-	case "phi":
-		return core.MinPhi, nil
-	default:
-		return 0, nwerr.Invalidf("unknown objective %q (want area, yield or phi)", s)
 	}
 }
 

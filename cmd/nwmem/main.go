@@ -26,7 +26,7 @@ import (
 	"nwdec/internal/core"
 	"nwdec/internal/crossbar"
 	"nwdec/internal/dataset"
-	"nwdec/internal/engine"
+	"nwdec/internal/stats"
 )
 
 func main() {
@@ -48,24 +48,17 @@ func main() {
 	if err != nil {
 		c.Exit(err)
 	}
-	// Fabrication goes through the engine's uncached kind: the response
-	// carries the memory plus the post-fabrication RNG, so the fault
-	// injection below continues the same stream the fabrication consumed —
-	// the whole session stays a pure function of the seed.
-	eng, err := engine.New(engine.Options{})
+	design, err := core.NewDesign(core.Config{CodeType: tp, CodeLength: *length})
 	if err != nil {
 		c.Exit(err)
 	}
-	resp, err := eng.Do(ctx, engine.Request{
-		Kind:    engine.KindFabricate,
-		Config:  core.Config{CodeType: tp, CodeLength: *length},
-		Seed:    *seed,
-		Workers: c.Workers,
-	})
+	// The fault injection below continues the stream the fabrication
+	// consumed, so the whole session stays a pure function of the seed.
+	rng := stats.NewRNG(*seed)
+	mem, err := design.FabricateWorkers(ctx, rng, c.Workers)
 	if err != nil {
 		c.Exit(err)
 	}
-	design, mem, rng := resp.Design, resp.Memory, resp.RNG
 	rows, cols := mem.Size()
 	fmt.Fprintf(os.Stderr, "fabricated %dx%d crossbar (%s, M=%d), usable %.1f%%\n",
 		rows, cols, tp, design.Config.CodeLength, 100*mem.UsableFraction())

@@ -70,6 +70,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -84,7 +85,6 @@ import (
 	"nwdec/internal/core"
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
-	"nwdec/internal/geometry"
 	"nwdec/internal/jobs"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/sweep"
@@ -189,7 +189,7 @@ func gcLoop(ctx context.Context, runner *jobs.Runner, maxAge time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			removed, err := runner.GC(ctx, time.Now(), maxAge, 0)
+			removed, err := runner.GC(ctx, time.Now(), maxAge)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "nwserve: job gc: %v\n", err)
 				continue
@@ -289,18 +289,8 @@ func (s *server) mux() *http.ServeMux {
 		if err != nil {
 			return engine.Request{}, err
 		}
-		req := engine.Request{Kind: engine.KindOptimize, Config: cfg}
-		switch obj := r.URL.Query().Get("objective"); obj {
-		case "", "area":
-			req.Objective = core.MinBitArea
-		case "yield":
-			req.Objective = core.MaxYield
-		case "phi":
-			req.Objective = core.MinPhi
-		default:
-			return req, nwerr.Invalidf("unknown objective %q (want area, yield or phi)", obj)
-		}
-		return req, nil
+		obj, err := core.ParseObjective(r.URL.Query().Get("objective"))
+		return engine.Request{Kind: engine.KindOptimize, Config: cfg, Objective: obj}, err
 	}))
 	m.HandleFunc("GET /v1/montecarlo", s.handle(func(r *http.Request) (engine.Request, error) {
 		cfg, err := queryConfig(r)
@@ -459,12 +449,6 @@ func (s *server) handle(parse func(*http.Request) (engine.Request, error)) http.
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Request-Key", resp.Key)
 		w.Header().Set("X-Cache", cacheStatus(resp))
-		if resp.Dataset == nil {
-			if _, err := fmt.Fprintln(w, `{}`); err != nil {
-				fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
-			}
-			return
-		}
 		if err := resp.Dataset.Render(w, dataset.FormatJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "nwserve: %v\n", err)
 		}
@@ -537,16 +521,8 @@ func queryConfig(r *http.Request) (core.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	if wires > 0 || rawBits > 0 {
-		cfg.Spec = geometry.DefaultCrossbarSpec()
-		if wires > 0 {
-			cfg.Spec.HalfCaveWires = wires
-		}
-		if rawBits > 0 {
-			cfg.Spec.RawBits = rawBits
-		}
-	}
-	return cfg, nil
+	cfg.Spec, err = cli.Spec(wires, rawBits)
+	return cfg, err
 }
 
 func queryInt(r *http.Request, name string, def int) (int, error) {
@@ -579,7 +555,7 @@ func queryFloat(r *http.Request, name string, def float64) (float64, error) {
 		return def, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, nwerr.Invalidf("query %s: invalid number %q", name, s)
 	}
 	return v, nil

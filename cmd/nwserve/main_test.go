@@ -246,6 +246,103 @@ func TestPeerSmoke(t *testing.T) {
 	}
 }
 
+// TestQueryRejectsOutOfRange: a query value the request cannot honour is
+// a 400 before any computation — a negative wire or bit count, which
+// would otherwise be dropped for the default, a non-finite number, a
+// negative trial count, or a sweep axis value that would be computed at
+// the default and labelled with the value given.
+func TestQueryRejectsOutOfRange(t *testing.T) {
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(eng, jobs.NewMemoryStore(), "", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.runner.Close()
+	mux := srv.mux()
+	for _, target := range []string{
+		"/v1/design?wires=-3",
+		"/v1/design?rawbits=-5",
+		"/v1/design?sigma=NaN",
+		"/v1/optimize?margin=Inf",
+		"/v1/experiment/fig5?trials=-5",
+		"/v1/sweep?sigmas=0.05,Inf",
+		"/v1/sweep?margins=0",
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400: %s", target, rec.Code, rec.Body)
+		}
+	}
+	if c := computeCount(eng); c != 0 {
+		t.Errorf("compute layer ran %d requests, want 0", c)
+	}
+}
+
+// recordBackend is an engine.Backend that records the last request it
+// was handed and computes nothing: it answers an empty dataset.
+type recordBackend struct {
+	calls int
+	last  engine.Request
+}
+
+func (b *recordBackend) Handle(_ context.Context, req engine.Request) (*engine.Response, error) {
+	b.calls++
+	b.last = req
+	return &engine.Response{Dataset: dataset.New("stub", "stub"), Key: req.Key()}, nil
+}
+
+func (b *recordBackend) Stats() engine.BackendStats { return engine.BackendStats{Name: "record"} }
+
+// FuzzServeQuery fuzzes the query parsing of every GET route that builds
+// an engine request. A query is either refused with 400 before the
+// backend sees it, or accepted with 200; an accepted request must cross
+// the peer wire and come back under the same key, because a peered node
+// forwards exactly what it parsed.
+func FuzzServeQuery(f *testing.F) {
+	for _, seed := range []string{"sigma=NaN", "wires=-3", "sigmas=0.05,Inf", "types=tc,gc&lengths=4,6"} {
+		f.Add(seed)
+	}
+	routes := []string{"/v1/design", "/v1/optimize", "/v1/montecarlo", "/v1/sweep", "/v1/codes", "/v1/experiment/fig5"}
+	f.Fuzz(func(t *testing.T, query string) {
+		stub := &recordBackend{}
+		mux := (&server{backend: stub}).mux()
+		for _, route := range routes {
+			r := httptest.NewRequest(http.MethodGet, route, nil)
+			r.URL.RawQuery = query
+			rec := httptest.NewRecorder()
+			before := stub.calls
+			mux.ServeHTTP(rec, r)
+			switch rec.Code {
+			case http.StatusBadRequest:
+				if stub.calls != before {
+					t.Fatalf("GET %s?%s: 400 for a request the backend accepted", route, query)
+				}
+			case http.StatusOK:
+				if stub.calls != before+1 {
+					t.Fatalf("GET %s?%s: 200 without reaching the backend", route, query)
+				}
+				data, err := stub.last.MarshalWire()
+				if err != nil {
+					t.Fatalf("GET %s?%s: accepted request has no wire form: %v", route, query, err)
+				}
+				back, err := engine.UnmarshalWire(data)
+				if err != nil {
+					t.Fatalf("GET %s?%s: wire form does not decode: %v\n%s", route, query, err, data)
+				}
+				if back.Key() != stub.last.Key() {
+					t.Fatalf("GET %s?%s: key changed across the wire: %s -> %s", route, query, stub.last.Key(), back.Key())
+				}
+			default:
+				t.Fatalf("GET %s?%s: status %d, want 200 or 400: %s", route, query, rec.Code, rec.Body)
+			}
+		}
+	})
+}
+
 // runJob submits a jobs.Spec JSON body through POST /v1/jobs, polls the
 // job's status until it leaves the running state, and returns the final
 // status with the GET /results body of the complete job.

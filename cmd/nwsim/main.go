@@ -51,18 +51,16 @@ func main() {
 	defer cancel()
 	defer c.Close()
 
-	var cfg core.Config
-	if *wires > 0 {
-		if cfg.Spec.RawBits == 0 {
-			cfg = cfg.WithDefaults()
-		}
-		cfg.Spec.HalfCaveWires = *wires
+	spec, err := cli.Spec(*wires, *rawBits)
+	if err != nil {
+		c.Exit(err)
 	}
-	if *rawBits > 0 {
-		if cfg.Spec.RawBits == 0 {
-			cfg = cfg.WithDefaults()
-		}
-		cfg.Spec.RawBits = *rawBits
+	var cfg core.Config
+	if spec.RawBits != 0 {
+		// An overridden crossbar resolves the whole default platform;
+		// the output's config hash records that.
+		cfg = cfg.WithDefaults()
+		cfg.Spec = spec
 	}
 	cfg.SigmaT = *sigma
 	cfg.MarginFactor = *margin

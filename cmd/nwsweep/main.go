@@ -11,13 +11,12 @@
 //	        [-peers ID=URL,...] [-node-id ID]
 //	        [-metrics text|json|csv|md] [-metrics-out FILE] [-pprof DIR] > sweep.csv
 //
-// The grid is evaluated on W workers (0 = GOMAXPROCS) through the
-// internal/engine serving layer; the output is bit-identical at every
-// worker count. The design-point count goes to stderr so stdout stays a
-// clean data stream.
+// The grid is evaluated on W workers (0 = GOMAXPROCS); the output is
+// bit-identical at every worker count. The design-point count goes to
+// stderr so stdout stays a clean data stream.
 //
 // With -job the sweep runs through the internal/jobs checkpoint layer
-// instead of the synchronous engine: the grid is partitioned into
+// instead of in one synchronous pass: the grid is partitioned into
 // chunks of -chunk points, each chunk is checkpointed as it completes,
 // and with -job-store the checkpoints are durable — a killed run
 // restarted as `nwsweep -resume ID -job-store DIR` serves the finished
@@ -44,6 +43,7 @@ import (
 
 	"nwdec/internal/cli"
 	"nwdec/internal/cluster"
+	"nwdec/internal/core"
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/jobs"
@@ -99,15 +99,7 @@ func main() {
 		c.Exit(nwerr.Invalidf("nwsweep: -peers needs -job (chunks route over the ring only in job mode)"))
 	}
 
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		c.Exit(err)
-	}
-	resp, err := eng.Do(ctx, engine.Request{
-		Kind:    engine.KindSweep,
-		Grid:    grid,
-		Workers: c.Workers,
-	})
+	rows, err := sweep.RunWorkers(ctx, core.Config{}, grid, c.Workers)
 	if err != nil {
 		c.Exit(err)
 	}
@@ -115,13 +107,13 @@ func main() {
 	// pipelines see byte-identical output; the other formats render the
 	// dataset form.
 	if c.Format() == dataset.FormatCSV {
-		if err := sweep.WriteCSV(os.Stdout, resp.Rows); err != nil {
+		if err := sweep.WriteCSV(os.Stdout, rows); err != nil {
 			c.Exit(err)
 		}
 	} else {
-		c.Emit(resp.Dataset)
+		c.Emit(sweep.Dataset(rows))
 	}
-	fmt.Fprintf(os.Stderr, "nwsweep: %d design points\n", len(resp.Rows))
+	fmt.Fprintf(os.Stderr, "nwsweep: %d design points\n", len(rows))
 }
 
 // runJob executes the sweep through the checkpointed job layer: submit

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,6 +31,7 @@ import (
 
 	"nwdec/internal/code"
 	"nwdec/internal/dataset"
+	"nwdec/internal/geometry"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 )
@@ -278,7 +280,8 @@ func Ints(arg string) ([]int, error) {
 	return out, nil
 }
 
-// Floats parses a comma-separated number list; empty input is nil.
+// Floats parses a comma-separated list of finite numbers; empty input is
+// nil. NaN and ±Inf, which strconv accepts, are Invalid-class.
 func Floats(arg string) ([]float64, error) {
 	if arg == "" {
 		return nil, nil
@@ -286,12 +289,35 @@ func Floats(arg string) ([]float64, error) {
 	var out []float64
 	for _, s := range strings.Split(arg, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, nwerr.Invalidf("invalid number %q", s)
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// Spec resolves a wires/rawbits pair (the -wires and -rawbits flags,
+// nwserve's ?wires and ?rawbits) into a crossbar spec. Zero means the
+// default: with both zero the spec is the zero value, which core.Config
+// defaults; otherwise a positive value overrides the default platform's.
+// A negative value is Invalid-class.
+func Spec(wires, rawBits int) (geometry.CrossbarSpec, error) {
+	var spec geometry.CrossbarSpec
+	if wires < 0 || rawBits < 0 {
+		return spec, nwerr.Invalidf("wires and rawbits must not be negative, got %d and %d", wires, rawBits)
+	}
+	if wires == 0 && rawBits == 0 {
+		return spec, nil
+	}
+	spec = geometry.DefaultCrossbarSpec()
+	if wires > 0 {
+		spec.HalfCaveWires = wires
+	}
+	if rawBits > 0 {
+		spec.RawBits = rawBits
+	}
+	return spec, nil
 }
 
 // Peers parses a -peers flag value: comma-separated ID=URL pairs naming

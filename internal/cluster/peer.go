@@ -48,13 +48,15 @@ type Options struct {
 }
 
 // PeerBackend is an engine.Backend that routes each request to its key's
-// owning node. Requests this node owns — and requests that cannot cross
-// the wire (non-cacheable kinds, custom threshold models) — go straight
-// to the local engine. Requests a peer owns are POSTed to the peer's
-// PeerPath; any peer failure (connection, timeout, non-200, a response
-// under another key, undecodable body) falls back to computing locally,
-// so the cluster degrades to a set of independent nodes rather than an
-// outage. Job chunks are ranged sweep requests and route the same way.
+// owning node. It validates first, so a request any node would reject
+// fails here without a hop. Requests this node owns — and requests that
+// cannot cross the wire (custom threshold models, non-finite numbers) —
+// go straight to the local engine. Requests a peer owns are POSTed to
+// the peer's PeerPath; any peer failure (connection, timeout, non-200, a
+// response under another key, undecodable body) falls back to computing
+// locally, so the cluster degrades to a set of independent nodes rather
+// than an outage. Job chunks are ranged sweep requests and route the
+// same way.
 //
 // Routing everything through the key's owner is what makes the fleet
 // compute each key once: the owner's singleflight coalesces concurrent
@@ -132,13 +134,13 @@ func (b *PeerBackend) Stats() engine.BackendStats {
 	}
 }
 
-// Handle routes one request: local if this node owns the key (or the
-// request cannot cross the wire), otherwise fetched from the owner with
-// fallback to local on any peer failure.
+// Handle routes one request: rejected if it is malformed, local if this
+// node owns the key (or the request cannot cross the wire), otherwise
+// fetched from the owner with fallback to local on any peer failure.
 func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.Response, error) {
 	b.requests.Add(1)
-	if !req.Wireable() {
-		return b.local.Handle(ctx, req)
+	if err := req.Validate(); err != nil {
+		return nil, err
 	}
 	key := req.Key()
 	owner := b.ring.Owner(key)
@@ -147,7 +149,13 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 		obs.From(ctx).Counter("cluster/peer/local").Add(1)
 		return b.local.Handle(ctx, req)
 	}
-	resp, err := b.fetch(ctx, base, req, key)
+	body, err := req.MarshalWire()
+	if err != nil {
+		// Only this process can compute a request without a wire form;
+		// that is a property of the request, not a peer failure.
+		return b.local.Handle(ctx, req)
+	}
+	resp, err := b.fetch(ctx, base, body, key)
 	if err != nil {
 		b.errors.Add(1)
 		obs.From(ctx).Counter("cluster/peer/fallback_local").Add(1)
@@ -158,7 +166,7 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 	return resp, nil
 }
 
-// fetch asks the owning node for the request's result. The owner runs
+// fetch POSTs body, the request's wire form, to its owner. The owner runs
 // the request through its own engine facade, so validation, caching,
 // deduplication and admission all happen there; this side only moves
 // bytes. The owner's X-Request-Key must echo the routed key: a mismatch
@@ -169,11 +177,7 @@ func (b *PeerBackend) Handle(ctx context.Context, req engine.Request) (*engine.R
 // caller's goroutine — the hedge against a dead peer is the local
 // fallback in Handle, not a racing goroutine (this package is
 // goroutine-free by project policy).
-func (b *PeerBackend) fetch(ctx context.Context, base string, req engine.Request, key string) (resp *engine.Response, err error) {
-	body, err := req.MarshalWire()
-	if err != nil {
-		return nil, err
-	}
+func (b *PeerBackend) fetch(ctx context.Context, base string, body []byte, key string) (resp *engine.Response, err error) {
 	ctx, cancel := context.WithTimeout(ctx, b.timeout)
 	defer cancel()
 	span := obs.From(ctx).StartSpan("cluster/peer/fetch")
@@ -237,10 +241,6 @@ func PeerHandler(local engine.Backend) http.Handler {
 		resp, err := local.Handle(r.Context(), req)
 		if err != nil {
 			writeError(w, err)
-			return
-		}
-		if resp.Dataset == nil {
-			writeError(w, nwerr.Internalf("cluster: request %s produced no dataset", resp.Key))
 			return
 		}
 		raw, err := resp.Dataset.JSON()

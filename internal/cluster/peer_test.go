@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"nwdec/internal/core"
 	"nwdec/internal/dataset"
 	"nwdec/internal/engine"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
+	"nwdec/internal/physics"
 	"nwdec/internal/sweep"
 )
 
@@ -325,29 +328,77 @@ func TestPeerBackendFailover(t *testing.T) {
 	}
 }
 
-// TestClusterNonWireableStaysLocal: requests that cannot cross the wire
-// (fabrication's mutable result, custom threshold models) never attempt
-// a peer fetch, whoever owns their key.
+// TestClusterNonWireableStaysLocal: a request with a custom threshold
+// model cannot cross the wire, so it computes on the node that received
+// it even when a peer owns its key: no fetch is attempted (the peer is
+// unreachable, so one would count as an error), and no fallback is
+// counted.
 func TestClusterNonWireableStaysLocal(t *testing.T) {
 	eng, err := engine.New(engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The peer is unreachable; any attempted fetch would show up in the
-	// error stats.
 	backend, err := NewPeerBackend(eng, Options{Self: "live", Peers: map[string]string{"dead": "http://127.0.0.1:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := backend.Handle(context.Background(), engine.Request{Kind: engine.KindFabricate, Seed: 3})
+	req := engine.Request{Kind: engine.KindDesign, Config: core.Config{Model: physics.PaperExampleTable(), VMax: 0.6}}
+	for backend.Ring().Owner(req.Key()) != "dead" {
+		req.Seed++
+	}
+	reg := obs.New(nil)
+	resp, err := backend.Handle(obs.Into(context.Background(), reg), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Memory == nil || resp.Peer {
-		t.Errorf("fabrication: Memory=%v Peer=%v, want local mutable result", resp.Memory, resp.Peer)
+	if resp.Peer {
+		t.Error("custom-model request claims peer provenance")
 	}
 	if st := backend.Stats(); st.Errors != 0 {
 		t.Errorf("non-wireable request attempted %d peer fetches", st.Errors)
+	}
+	if n := reg.Counter("cluster/peer/fallback_local").Value(); n != 0 {
+		t.Errorf("cluster/peer/fallback_local = %d, want 0", n)
+	}
+}
+
+// TestPeerBackendKeepsClientMistakesLocal: a request any node would
+// reject fails on the node that received it, with its own error class,
+// and a request whose wire form does not encode (a NaN σ_T) computes
+// there. Neither reaches the peer that owns its key or counts as a peer
+// failure.
+func TestPeerBackendKeepsClientMistakesLocal(t *testing.T) {
+	nodes := newTestCluster(t, 2)
+	asker, owner := nodes[0], nodes[1]
+	for _, tc := range []struct {
+		name  string
+		req   engine.Request
+		class nwerr.Class
+	}{
+		{"zero-trials", engine.Request{Kind: engine.KindMonteCarlo}, nwerr.ClassInvalid},
+		{"unknown-experiment", engine.Request{Kind: engine.KindExperiment, Experiment: "nope"}, nwerr.ClassNotFound},
+		{"nan-sigma", engine.Request{Kind: engine.KindDesign, Config: core.Config{SigmaT: math.NaN()}}, nwerr.ClassInvalid},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req
+			for asker.backend.Ring().Owner(req.Key()) != owner.id {
+				req.Seed++
+			}
+			reg := obs.New(nil)
+			_, err := asker.backend.Handle(obs.Into(context.Background(), reg), req)
+			if got := nwerr.ClassOf(err); err == nil || got != tc.class {
+				t.Errorf("error %v (class %s), want class %s", err, got, tc.class)
+			}
+			if n := owner.eng.Stats().Requests; n != 0 {
+				t.Errorf("owner engine saw %d requests, want 0", n)
+			}
+			if st := asker.backend.Stats(); st.Errors != 0 {
+				t.Errorf("peer stats errors = %d, want 0", st.Errors)
+			}
+			if n := reg.Counter("cluster/peer/fallback_local").Value(); n != 0 {
+				t.Errorf("cluster/peer/fallback_local = %d, want 0", n)
+			}
+		})
 	}
 }
 
@@ -398,9 +449,9 @@ func TestPeerHandlerStatusMapping(t *testing.T) {
 }
 
 // TestPeerHandlerRefusesNonWireable: /peer/ sits on every listener, so
-// any client can POST to it. A kind no peer would ever send — here a
-// fabrication, whose mutable result cannot cross the wire — is refused
-// at decode with 400 and never reaches the compute layer.
+// any client can POST to it. A kind no peer would ever send — here
+// "fabricate", which names no engine kind — is refused by the engine's
+// validation with 400 and never reaches the compute layer.
 func TestPeerHandlerRefusesNonWireable(t *testing.T) {
 	eng, err := engine.New(engine.Options{})
 	if err != nil {

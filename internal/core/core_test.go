@@ -186,6 +186,18 @@ func TestOptimizeMinPhi(t *testing.T) {
 	}
 }
 
+func TestParseObjective(t *testing.T) {
+	for name, want := range map[string]Objective{"": MinBitArea, "area": MinBitArea, "yield": MaxYield, "phi": MinPhi} {
+		if got, err := ParseObjective(name); err != nil || got != want {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseObjective("speed")
+	if !nwerr.IsInvalid(err) || err.Error() != `unknown objective "speed" (want area, yield or phi)` {
+		t.Errorf("ParseObjective(speed) error = %v, want the Invalid-class objective list", err)
+	}
+}
+
 func TestValidLength(t *testing.T) {
 	if !ValidLength(code.TypeGray, 2, 8) || ValidLength(code.TypeGray, 2, 7) {
 		t.Error("tree-family length rule wrong")

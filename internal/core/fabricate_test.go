@@ -28,6 +28,33 @@ func TestDesignFabricate(t *testing.T) {
 	}
 }
 
+// TestFabricateDeterministic: nwmem's session is a pure function of its
+// seed only if two fabrications from the same seed agree and leave the
+// RNG at the same point, so fault injection continues one stream.
+func TestFabricateDeterministic(t *testing.T) {
+	d, err := NewDesign(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rngA, rngB := stats.NewRNG(7), stats.NewRNG(7)
+	a, err := d.FabricateWorkers(context.Background(), rngA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.FabricateWorkers(context.Background(), rngB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if af, bf := a.UsableFraction(), b.UsableFraction(); af != bf {
+		t.Errorf("same-seed fabrications differ: usable %v vs %v", af, bf)
+	}
+	for i := 0; i < 8; i++ {
+		if av, bv := rngA.Intn(1<<20), rngB.Intn(1<<20); av != bv {
+			t.Fatalf("post-fabrication RNG streams diverge at draw %d: %d vs %d", i, av, bv)
+		}
+	}
+}
+
 func TestDesignMonteCarloYieldMatchesAnalytic(t *testing.T) {
 	d, err := NewDesign(Config{CodeType: code.TypeBalancedGray})
 	if err != nil {

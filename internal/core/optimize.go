@@ -97,6 +97,20 @@ const (
 	MinPhi
 )
 
+// ParseObjective resolves an objective name: "area" (or "", the
+// default), "yield" or "phi". Any other name is Invalid-class.
+func ParseObjective(name string) (Objective, error) {
+	switch name {
+	case "", "area":
+		return MinBitArea, nil
+	case "yield":
+		return MaxYield, nil
+	case "phi":
+		return MinPhi, nil
+	}
+	return 0, nwerr.Invalidf("unknown objective %q (want area, yield or phi)", name)
+}
+
 // Optimize sweeps the design space on the par pool with the given worker
 // count (<= 0 means GOMAXPROCS) and returns the best design under the
 // objective. Ties break deterministically on (type order, shorter length),

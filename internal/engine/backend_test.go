@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"nwdec/internal/dataset"
 	"nwdec/internal/nwerr"
 )
 
@@ -42,7 +43,7 @@ func (s *stubBackend) Handle(ctx context.Context, req Request) (*Response, error
 	if s.err != nil {
 		return nil, s.err
 	}
-	return &Response{Key: req.Key()}, nil
+	return &Response{Dataset: dataset.New("stub", "stub"), Key: req.Key()}, nil
 }
 
 func (s *stubBackend) callCount() int {
@@ -142,25 +143,6 @@ func TestCacheBackendServesRepeats(t *testing.T) {
 	st := b.Stats()
 	if st.Requests != 2 || st.Served != 1 {
 		t.Errorf("cache stats = %+v, want 2 requests, 1 served", st)
-	}
-}
-
-// TestCacheBackendSkipsUncacheable: fabrication must bypass the cache
-// entirely — every request descends, nothing is stored.
-func TestCacheBackendSkipsUncacheable(t *testing.T) {
-	stub := &stubBackend{}
-	b := newCacheBackend(4, 1<<20, stub)
-	req := Request{Kind: KindFabricate, Seed: 1}
-	for i := 0; i < 2; i++ {
-		if _, err := b.Handle(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := stub.callCount(); got != 2 {
-		t.Errorf("next layer ran %d times, want 2", got)
-	}
-	if got := b.len(); got != 0 {
-		t.Errorf("uncacheable kind left %d cache entries", got)
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 	"nwdec/internal/obs"
 )
 
-// cacheBackend serves cacheable requests from the bounded,
-// content-addressed LRU and stores what the layers below compute. It
-// sits inside the singleflight layer, so a computed result is cached
-// before the flight lands — a request arriving the instant a flight
-// completes either joins it or hits the cache, never recomputes.
-// Non-cacheable kinds (fabrication) pass straight through.
+// cacheBackend serves requests from the bounded, content-addressed LRU
+// and stores what the layers below compute. It sits inside the
+// singleflight layer, so a computed result is cached before the flight
+// lands — a request arriving the instant a flight completes either joins
+// it or hits the cache, never recomputes.
 type cacheBackend struct {
 	cache *resultCache
 	next  Backend
@@ -40,9 +39,6 @@ func (b *cacheBackend) len() int { return b.cache.len() }
 // out for the same reason.
 func (b *cacheBackend) Handle(ctx context.Context, req Request) (*Response, error) {
 	b.stats.requests.Add(1)
-	if !req.Kind.cacheable() {
-		return b.next.Handle(ctx, req)
-	}
 	reg := obs.From(ctx)
 	key := req.Key()
 	if resp, ok := b.cache.get(key); ok {

@@ -1,9 +1,9 @@
 // Package engine is the serving layer of the decoder pipeline: a typed
 // request/response API fronting the expensive library entry points
-// (core.NewDesign, Design.MonteCarloYieldWorkers, experiments.Runner,
-// sweep.RunWorkers, crossbar fabrication) behind a stack of composable
-// backends, each owning one cross-cutting mechanism the entry points
-// themselves stay free of:
+// (core.NewDesign, core.Optimize, Design.MonteCarloYieldWorkers,
+// experiments.Runner, sweep.RunWorkers, the code generators) behind a
+// stack of composable backends, each owning one cross-cutting mechanism
+// the entry points themselves stay free of:
 //
 //   - singleflight deduplication: concurrent identical requests share one
 //     computation instead of racing to do the same work;
@@ -24,11 +24,13 @@
 // a fleet of engines: a peer backend composes over a remote node's
 // facade exactly as the local layers compose over each other.
 //
-// Every command-line tool and the nwserve HTTP facade submit work through
-// Engine.Do. Errors carry the internal/nwerr taxonomy: malformed requests
-// are Invalid, context cancellation is Canceled, shed work is Overload,
-// everything else is Internal — callers branch with errors.Is instead of
-// string matching.
+// nwsim, nwcodes, the nwserve HTTP facade and job chunks submit work
+// through Engine.Do. A response is a dataset plus its provenance, so the
+// commands that need live library objects (nwmem, nwdecoder, nwsweep's
+// synchronous path) call the library directly. Errors carry the
+// internal/nwerr taxonomy: malformed requests are Invalid, context
+// cancellation is Canceled, shed work is Overload, everything else is
+// Internal — callers branch with errors.Is instead of string matching.
 //
 // The engine is instrumented with internal/obs (request/compute counters
 // per kind, cache hit/miss/eviction counters, in-flight gauge, per-kind
@@ -174,7 +176,7 @@ func (e *Engine) Handle(ctx context.Context, req Request) (*Response, error) {
 // Canceled one — since no computation of its own remains to continue.
 func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	e.stats.requests.Add(1)
-	if err := req.validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		e.stats.errors.Add(1)
 		return nil, err
 	}

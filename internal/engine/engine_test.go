@@ -323,7 +323,9 @@ func TestInvalidRequests(t *testing.T) {
 		{Kind: "nope"},
 		{Kind: engine.KindExperiment},
 		{Kind: engine.KindMonteCarlo, Trials: 0},
+		{Kind: engine.KindExperiment, Experiment: "fig5", Trials: -5},
 		{Kind: engine.KindCodes, Count: -1},
+		{Kind: engine.KindSweep, Grid: sweep.Grid{MarginFactors: []float64{0}}},
 	} {
 		_, err := eng.Do(ctx, req)
 		if err == nil {
@@ -401,41 +403,6 @@ func TestOptimizeHonorsWorkers(t *testing.T) {
 	}
 	if got := reg.Counter("par/pools").Value(); got != 0 {
 		t.Errorf("par/pools = %d at Workers = 1, want 0", got)
-	}
-}
-
-// TestFabricateUncachedDeterministic: fabrication returns mutable state,
-// so it must never be cached; same-seed fabrications are nevertheless
-// bit-identical, and the returned RNG continues the fabrication stream
-// deterministically.
-func TestFabricateUncachedDeterministic(t *testing.T) {
-	ctx, _ := obsCtx()
-	eng := newEngine(t, engine.Options{})
-	req := engine.Request{Kind: engine.KindFabricate, Seed: 7}
-	a, err := eng.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := eng.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.CacheHit || b.CacheHit {
-		t.Error("fabrication reported a cache hit; it must always compute")
-	}
-	if got := eng.CacheLen(); got != 0 {
-		t.Errorf("fabrication left %d cache entries, want 0", got)
-	}
-	if a.Memory == b.Memory {
-		t.Error("two fabrications share one *crossbar.Memory instance")
-	}
-	if af, bf := a.Memory.UsableFraction(), b.Memory.UsableFraction(); af != bf {
-		t.Errorf("same-seed fabrications differ: usable %v vs %v", af, bf)
-	}
-	for i := 0; i < 8; i++ {
-		if av, bv := a.RNG.Intn(1<<20), b.RNG.Intn(1<<20); av != bv {
-			t.Fatalf("post-fabrication RNG streams diverge at draw %d: %d vs %d", i, av, bv)
-		}
 	}
 }
 

@@ -27,12 +27,9 @@ type flight struct {
 // singleflightBackend deduplicates concurrent identical requests: the
 // first caller of a content address leads and descends into the chain;
 // everyone else joins its flight and shares the result. It is the head
-// of the cacheable chain — the cache layer runs inside the flight, so by
-// the time a flight lands its result is already cached and a late
-// arrival can never slip between the two and recompute.
-//
-// Non-cacheable kinds (fabrication) pass straight through: their results
-// are mutable state that must never be shared between callers.
+// of the chain — the cache layer runs inside the flight, so by the time
+// a flight lands its result is already cached and a late arrival can
+// never slip between the two and recompute.
 type singleflightBackend struct {
 	next Backend
 
@@ -60,9 +57,6 @@ func (b *singleflightBackend) Stats() BackendStats { return b.stats.Stats() }
 // Canceled.
 func (b *singleflightBackend) Handle(ctx context.Context, req Request) (*Response, error) {
 	b.stats.requests.Add(1)
-	if !req.Kind.cacheable() {
-		return b.next.Handle(ctx, req)
-	}
 	key := req.Key()
 	f, leader := b.joinOrLead(key)
 	if !leader {

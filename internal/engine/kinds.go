@@ -10,7 +10,6 @@ import (
 	"nwdec/internal/dataset"
 	"nwdec/internal/experiments"
 	"nwdec/internal/nwerr"
-	"nwdec/internal/stats"
 	"nwdec/internal/sweep"
 )
 
@@ -31,10 +30,8 @@ func computeKind(ctx context.Context, req Request) (*Response, error) {
 		return computeSweep(ctx, req)
 	case KindCodes:
 		return computeCodes(ctx, req)
-	case KindFabricate:
-		return computeFabricate(ctx, req)
 	}
-	// validate() rejects unknown kinds before admission; this is a guard
+	// Validate rejects unknown kinds before admission; this is a guard
 	// against a kind added without a branch.
 	return nil, fmt.Errorf("engine: no compute path for kind %q", string(req.Kind))
 }
@@ -44,7 +41,7 @@ func computeDesign(_ context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Dataset: d.Dataset(), Design: d}, nil
+	return &Response{Dataset: d.Dataset()}, nil
 }
 
 func computeOptimize(ctx context.Context, req Request) (*Response, error) {
@@ -60,7 +57,7 @@ func computeOptimize(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Dataset: d.Dataset(), Design: d}, nil
+	return &Response{Dataset: d.Dataset()}, nil
 }
 
 func computeMonteCarlo(ctx context.Context, req Request) (*Response, error) {
@@ -85,7 +82,7 @@ func computeMonteCarlo(ctx context.Context, req Request) (*Response, error) {
 	ds.Meta.Seed = req.Seed
 	ds.Meta.Trials = req.Trials
 	ds.Meta.ConfigHash = req.Config.Fingerprint()
-	return &Response{Dataset: ds, Design: d}, nil
+	return &Response{Dataset: ds}, nil
 }
 
 func computeExperiment(ctx context.Context, req Request) (*Response, error) {
@@ -119,7 +116,7 @@ func computeSweep(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Dataset: sweep.Dataset(rows), Rows: rows}, nil
+	return &Response{Dataset: sweep.Dataset(rows)}, nil
 }
 
 func computeCodes(_ context.Context, req Request) (*Response, error) {
@@ -140,22 +137,6 @@ func computeCodes(_ context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	return &Response{Dataset: WordsDataset(cfg.CodeType, gen, words)}, nil
-}
-
-func computeFabricate(ctx context.Context, req Request) (*Response, error) {
-	d, err := core.NewDesign(req.Config)
-	if err != nil {
-		return nil, err
-	}
-	// The RNG is returned alongside the memory: controllers that inject
-	// faults after fabrication (nwmem) continue drawing from the same
-	// stream, which keeps the whole run a pure function of the seed.
-	rng := stats.NewRNG(req.Seed)
-	mem, err := d.FabricateWorkers(ctx, rng, req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Design: d, Memory: mem, RNG: rng}, nil
 }
 
 // WordsDataset packages a code-word listing with its transition

@@ -3,10 +3,8 @@ package engine
 import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
-	"nwdec/internal/crossbar"
 	"nwdec/internal/dataset"
 	"nwdec/internal/nwerr"
-	"nwdec/internal/stats"
 	"nwdec/internal/sweep"
 )
 
@@ -32,24 +30,13 @@ const (
 	// KindCodes generates a code-word listing with transition statistics
 	// (the nwcodes workload).
 	KindCodes Kind = "codes"
-	// KindFabricate builds one Monte-Carlo crossbar memory instance
-	// (Design.FabricateWorkers). Fabrications return mutable state, so
-	// this kind is never cached or deduplicated — only admitted and
-	// instrumented.
-	KindFabricate Kind = "fabricate"
 )
-
-// cacheable reports whether results of this kind may be cached and
-// shared. Everything is, except fabrication: a *crossbar.Memory is
-// mutable (the whole point is writing to it), so two requests must never
-// receive the same instance.
-func (k Kind) cacheable() bool { return k != KindFabricate }
 
 // known reports whether k is one of the declared kinds.
 func (k Kind) known() bool {
 	switch k {
 	case KindDesign, KindOptimize, KindMonteCarlo, KindExperiment,
-		KindSweep, KindCodes, KindFabricate:
+		KindSweep, KindCodes:
 		return true
 	}
 	return false
@@ -79,8 +66,7 @@ type Request struct {
 	// Count is the number of words to emit for KindCodes (0 = the whole
 	// space, capped at 64 — the historical nwcodes default).
 	Count int `json:"count,omitempty"`
-	// Seed drives the stochastic kinds (KindMonteCarlo, KindExperiment,
-	// KindFabricate).
+	// Seed drives the stochastic kinds (KindMonteCarlo, KindExperiment).
 	Seed uint64 `json:"seed,omitempty"`
 	// Trials is the repetition count for KindMonteCarlo and the
 	// Monte-Carlo experiments (KindExperiment; 0 = the runner default).
@@ -147,10 +133,11 @@ func (r Request) Key() string {
 // ranged reports whether the request selects a point range.
 func (r Request) ranged() bool { return r.Lo != 0 || r.Hi != 0 }
 
-// validate rejects malformed requests with Invalid-class errors — and
+// Validate rejects malformed requests with Invalid-class errors — and
 // well-formed requests naming nonexistent experiments with NotFound-class
-// ones — before any work is admitted.
-func (r Request) validate() error {
+// ones — before any work is admitted. Engine.Do and the cluster routing
+// layer call it, so a request any node would reject fails where it arrived.
+func (r Request) Validate() error {
 	if !r.Kind.known() {
 		return nwerr.Invalidf("engine: unknown request kind %q", string(r.Kind))
 	}
@@ -162,6 +149,14 @@ func (r Request) validate() error {
 	}
 	if r.Kind == KindMonteCarlo && r.Trials <= 0 {
 		return nwerr.Invalidf("engine: montecarlo request needs a positive trial count, got %d", r.Trials)
+	}
+	if r.Trials < 0 {
+		return nwerr.Invalidf("engine: negative trial count %d", r.Trials)
+	}
+	if r.Kind == KindSweep {
+		if err := r.Grid.Validate(); err != nil {
+			return err
+		}
 	}
 	if r.Count < 0 {
 		return nwerr.Invalidf("engine: negative word count %d", r.Count)
@@ -177,34 +172,18 @@ func (r Request) validate() error {
 	return nil
 }
 
-// Response is the result of one request. Dataset is always set except for
-// KindFabricate. The kind-specific payloads (Design, Rows) are
-// shared between callers of the same cached result and must be treated as
-// read-only; Dataset is a private clone, safe to annotate. Memory and RNG
-// come only from the uncached KindFabricate, so they are exclusively the
-// caller's.
+// Response is the result of one request: a dataset plus its provenance.
+// The dataset is the caller's private clone, safe to annotate.
 type Response struct {
-	// Dataset is the structured result (nil for KindFabricate).
+	// Dataset is the structured result.
 	Dataset *dataset.Dataset
-	// Design is the resolved design for KindDesign and KindOptimize.
-	Design *core.Design
-	// Rows are the evaluated grid points for KindSweep.
-	Rows []sweep.Row
-	// Memory is the fabricated crossbar for KindFabricate.
-	Memory *crossbar.Memory
-	// RNG is the generator state after fabrication for KindFabricate, so
-	// controllers can continue drawing from the same stream (fault
-	// injection in nwmem depends on this).
-	RNG *stats.RNG
 	// CacheHit reports whether the result was served without computing:
 	// from the cache, or by joining an identical in-flight request. For a
 	// peer-served response it reports the owning node's verdict.
 	CacheHit bool
 	// Peer reports that the response was served by the request key's
 	// owning node over the cluster peer protocol instead of by this
-	// process (see internal/cluster). Peer responses carry the dataset
-	// only: the kind-specific payloads (Design, Rows) do not cross
-	// the wire.
+	// process (see internal/cluster).
 	Peer bool
 	// Key is the request's content address, for logging and HTTP headers.
 	Key string
@@ -215,26 +194,17 @@ type Response struct {
 func (r *Response) clone(hit bool) *Response {
 	out := *r
 	out.CacheHit = hit
-	if r.Dataset != nil {
-		out.Dataset = r.Dataset.Clone()
-	}
+	out.Dataset = r.Dataset.Clone()
 	return &out
 }
 
-// cost estimates the cache weight of a response in cells. The unit is
-// coarse — the cap exists to bound memory, not to account bytes exactly.
+// cost estimates the cache weight of a response in dataset cells. The
+// unit is coarse — the cap exists to bound memory, not to account bytes
+// exactly.
 func (r *Response) cost() int64 {
-	c := int64(1)
-	if r.Dataset != nil {
-		cols := len(r.Dataset.Columns)
-		if cols < 1 {
-			cols = 1
-		}
-		c += int64(len(r.Dataset.Rows)) * int64(cols)
+	cols := len(r.Dataset.Columns)
+	if cols < 1 {
+		cols = 1
 	}
-	c += int64(len(r.Rows))
-	if r.Design != nil {
-		c += 64
-	}
-	return c
+	return 1 + int64(len(r.Dataset.Rows))*int64(cols)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,15 +103,14 @@ func TestDeleteJob(t *testing.T) {
 func TestGCNeedsAges(t *testing.T) {
 	r := NewRunner(NewMemoryStore(), Options{})
 	defer r.Close()
-	if _, err := r.GC(context.Background(), time.Unix(0, 0), time.Hour, 0); !nwerr.IsInvalid(err) {
+	if _, err := r.GC(context.Background(), time.Unix(0, 0), time.Hour); !nwerr.IsInvalid(err) {
 		t.Errorf("GC over MemoryStore = %v, want Invalid-class", err)
 	}
 }
 
-// TestGCCollectsOldTerminal pins the age and keep rules: jobs idle
-// longer than maxAge are collected oldest-first, keep spares the most
-// recently touched regardless of age, and the collected count reaches
-// the metrics registry.
+// TestGCCollectsOldTerminal pins the age rule: one GC call collects
+// exactly the terminal jobs idle longer than maxAge, spares the younger
+// one, and reports the collected count to the metrics registry.
 func TestGCCollectsOldTerminal(t *testing.T) {
 	root := t.TempDir()
 	fs, err := NewFSStore(root)
@@ -129,28 +129,20 @@ func TestGCCollectsOldTerminal(t *testing.T) {
 		touchJob(t, root, st.ID, now.Add(-age))
 	}
 
-	// keep=2 spares the two newest even though ids[1] is past maxAge.
 	r := NewRunner(fs, Options{})
 	defer r.Close()
-	removed, err := r.GC(context.Background(), now, time.Hour, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 || removed[0] != ids[0] {
-		t.Fatalf("GC(keep=2) removed %v, want exactly the oldest %s", removed, ids[0])
-	}
-
-	// keep=0 now collects ids[1]; ids[2] is younger than maxAge and stays.
 	reg := obs.New(nil)
-	removed, err = r.GC(obs.Into(context.Background(), reg), now, time.Hour, 0)
+	removed, err := r.GC(obs.Into(context.Background(), reg), now, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(removed) != 1 || removed[0] != ids[1] {
-		t.Fatalf("GC(keep=0) removed %v, want exactly %s", removed, ids[1])
+	want := []string{ids[0], ids[1]}
+	slices.Sort(want)
+	if !slices.Equal(removed, want) {
+		t.Fatalf("GC removed %v, want exactly the two old jobs %v", removed, want)
 	}
-	if n := reg.Counter("jobs/gc_collected").Value(); n != 1 {
-		t.Errorf("jobs/gc_collected = %d, want 1", n)
+	if n := reg.Counter("jobs/gc_collected").Value(); n != 2 {
+		t.Errorf("jobs/gc_collected = %d, want 2", n)
 	}
 	if _, err := fs.GetSpec(ids[2]); err != nil {
 		t.Errorf("young job %s collected: %v", ids[2], err)
@@ -207,7 +199,7 @@ func TestGCNeverCollectsRunning(t *testing.T) {
 
 	now := time.Now()
 	touchJob(t, root, st.ID, now.Add(-24*time.Hour))
-	removed, err := r.GC(context.Background(), now, time.Hour, 0)
+	removed, err := r.GC(context.Background(), now, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +215,7 @@ func TestGCNeverCollectsRunning(t *testing.T) {
 		t.Fatalf("state = %s (%s), want complete", st.State, st.Error)
 	}
 	touchJob(t, root, st.ID, now.Add(-24*time.Hour))
-	removed, err = r.GC(context.Background(), now, time.Hour, 0)
+	removed, err = r.GC(context.Background(), now, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,12 +83,13 @@ func (s Spec) ID() string {
 	}{s.Key(), s.Chunk})
 }
 
-// validate rejects specs that cannot be persisted and resumed.
+// validate rejects specs that cannot be persisted and resumed, and grids
+// a design cannot be built from.
 func (s Spec) validate() error {
 	if s.Base.Model != nil {
 		return nwerr.Invalidf("jobs: custom threshold models are not persistable; submit with Model nil")
 	}
-	return nil
+	return s.Grid.Validate()
 }
 
 // State is the lifecycle phase of a job.

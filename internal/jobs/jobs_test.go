@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"nwdec/internal/code"
@@ -337,6 +338,23 @@ func TestJobErrorClasses(t *testing.T) {
 	}
 	if _, err := r.Submit(ctx, Spec{Grid: sweep.Grid{Lengths: []int{3}, Types: []code.Type{code.TypeGray}}}); !nwerr.IsInvalid(err) {
 		t.Error("Submit(empty grid) must be Invalid-class")
+	}
+}
+
+// TestSubmitRejectsGridValues: a grid value no design can be built from
+// is refused at submission, before a spec is stored. A zero margin
+// factor would otherwise be computed at the default and checkpointed
+// under the label 0.
+func TestSubmitRejectsGridValues(t *testing.T) {
+	store := NewMemoryStore()
+	r := NewRunner(store, Options{})
+	defer r.Close()
+	_, err := r.Submit(context.Background(), Spec{Grid: sweep.Grid{MarginFactors: []float64{0}}})
+	if !nwerr.IsInvalid(err) || !strings.Contains(err.Error(), "margin factor") {
+		t.Errorf("Submit(margin 0) = %v, want an Invalid-class error naming the margin factor", err)
+	}
+	if ids, err := store.Jobs(); err != nil || len(ids) != 0 {
+		t.Errorf("store jobs after a refused submit = %v, %v; want none", ids, err)
 	}
 }
 

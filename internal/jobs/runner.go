@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -455,14 +454,13 @@ func (r *Runner) Delete(id string) error {
 
 // GC collects old terminal jobs from the store: every job not running in
 // this runner whose state has not changed for longer than maxAge is
-// deleted, except the keep most recently touched (keep <= 0 keeps none
-// beyond the age test). It returns the deleted ids. Age comes from the
+// deleted. It returns the deleted ids in id order. Age comes from the
 // store's AgeStore extension and "now" from the caller — the job layer
 // never reads the clock itself — so a store without ages (MemoryStore)
 // is an Invalid-class error rather than a silent no-op. A job that
 // starts running between the scan and its deletion is skipped, never
 // collected: Delete re-checks under the runner lock.
-func (r *Runner) GC(ctx context.Context, now time.Time, maxAge time.Duration, keep int) ([]string, error) {
+func (r *Runner) GC(ctx context.Context, now time.Time, maxAge time.Duration) ([]string, error) {
 	ages, ok := r.store.(AgeStore)
 	if !ok {
 		return nil, nwerr.Invalidf("jobs: %T records no ages; GC needs an AgeStore (use the filesystem store)", r.store)
@@ -471,11 +469,7 @@ func (r *Runner) GC(ctx context.Context, now time.Time, maxAge time.Duration, ke
 	if err != nil {
 		return nil, err
 	}
-	type candidate struct {
-		id string
-		mt time.Time
-	}
-	cands := make([]candidate, 0, len(ids))
+	var removed []string
 	for _, id := range ids {
 		r.mu.Lock()
 		j, live := r.jobs[id]
@@ -485,31 +479,16 @@ func (r *Runner) GC(ctx context.Context, now time.Time, maxAge time.Duration, ke
 			continue
 		}
 		mt, err := ages.ModTime(id)
-		if err != nil {
-			continue // deleted (or torn) under the scan; nothing to collect
+		if err != nil || now.Sub(mt) <= maxAge {
+			continue // young, or deleted (or torn) under the scan
 		}
-		cands = append(cands, candidate{id, mt})
-	}
-	// Newest first, id as the deterministic tiebreak, so keep spares the
-	// most recently touched jobs.
-	sort.Slice(cands, func(a, b int) bool {
-		if !cands[a].mt.Equal(cands[b].mt) {
-			return cands[a].mt.After(cands[b].mt)
-		}
-		return cands[a].id < cands[b].id
-	})
-	var removed []string
-	for i, c := range cands {
-		if i < keep || now.Sub(c.mt) <= maxAge {
-			continue
-		}
-		if err := r.Delete(c.id); err != nil {
+		if err := r.Delete(id); err != nil {
 			if nwerr.IsInvalid(err) || nwerr.IsNotFound(err) {
 				continue // resumed or already gone since the scan
 			}
 			return removed, err
 		}
-		removed = append(removed, c.id)
+		removed = append(removed, id)
 	}
 	if n := len(removed); n > 0 {
 		obs.From(ctx).Counter("jobs/gc_collected").Add(int64(n))

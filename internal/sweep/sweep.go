@@ -10,6 +10,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"nwdec/internal/code"
@@ -46,6 +47,31 @@ func DefaultGrid() Grid {
 		MarginFactors: []float64{1.0},
 		HalfCaveWires: []int{20},
 	}
+}
+
+// Validate rejects axis values no design can be built from: every σ_T
+// and margin factor must be positive and finite, and every half-cave
+// wire count positive. A zero is not a default here — Points would copy
+// it into core.Config, where zero means "default", and the row would
+// carry a value it was not computed at. A violation is Invalid-class and
+// names the axis and the value.
+func (g Grid) Validate() error {
+	for _, v := range g.SigmaTs {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nwerr.Invalidf("sweep: sigmaT must be positive and finite, got %g", v)
+		}
+	}
+	for _, v := range g.MarginFactors {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nwerr.Invalidf("sweep: margin factor must be positive and finite, got %g", v)
+		}
+	}
+	for _, n := range g.HalfCaveWires {
+		if n <= 0 {
+			return nwerr.Invalidf("sweep: half-cave wire count must be positive, got %d", n)
+		}
+	}
+	return nil
 }
 
 func (g Grid) withDefaults() Grid {
@@ -182,9 +208,13 @@ func EvalPoints(ctx context.Context, workers int, points []Point) ([]Row, error)
 // GOMAXPROCS). The valid grid points are flattened in the grid's Cartesian
 // order (types → lengths → sigmas → margins → wires) before fanning out, and
 // the rows come back in that same order, so the output is bit-identical at
-// every worker count. A grid with no valid point is an nwerr.Invalid error.
-// Cancelling ctx abandons unfinished points and returns ctx's error.
+// every worker count. A grid that fails Validate, or has no valid point,
+// is an nwerr.Invalid error. Cancelling ctx abandons unfinished points
+// and returns ctx's error.
 func RunWorkers(ctx context.Context, base core.Config, grid Grid, workers int) ([]Row, error) {
+	if err := grid.Validate(); err != nil {
+		return nil, err
+	}
 	grid = grid.withDefaults()
 	points := grid.Points(base)
 	reg := obs.From(ctx)

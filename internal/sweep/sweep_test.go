@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"nwdec/internal/code"
 	"nwdec/internal/core"
+	"nwdec/internal/nwerr"
 )
 
 func TestDefaultGridSize(t *testing.T) {
@@ -68,6 +71,27 @@ func TestRunAllInvalidErrors(t *testing.T) {
 	}, 0)
 	if err == nil {
 		t.Error("empty result accepted")
+	}
+}
+
+// TestRunRejectsAxisValues: a zero σ_T or margin would be computed at
+// the default and labelled 0, so RunWorkers refuses it, like every other
+// value no design can be built from, with an error naming the axis.
+func TestRunRejectsAxisValues(t *testing.T) {
+	for _, tc := range []struct {
+		grid Grid
+		axis string
+	}{
+		{Grid{SigmaTs: []float64{0.05, 0}}, "sigmaT"},
+		{Grid{SigmaTs: []float64{math.NaN()}}, "sigmaT"},
+		{Grid{MarginFactors: []float64{0}}, "margin factor"},
+		{Grid{MarginFactors: []float64{math.Inf(1)}}, "margin factor"},
+		{Grid{HalfCaveWires: []int{-1}}, "half-cave wire count"},
+	} {
+		_, err := RunWorkers(context.Background(), core.Config{}, tc.grid, 1)
+		if !nwerr.IsInvalid(err) || !strings.Contains(err.Error(), tc.axis) {
+			t.Errorf("grid %+v: error %v, want an Invalid-class error naming %s", tc.grid, err, tc.axis)
+		}
 	}
 }
 

@@ -62,7 +62,8 @@
 #             stores and logs are preserved under ci-artifacts/dist-smoke/
 #             when the smoke fails.
 #         11. fuzz smoke — 10s of real fuzzing per fuzz target of every
-#             package under internal/, auto-discovered from the test files
+#             package under internal/ and cmd/, auto-discovered from the
+#             test files
 #
 # Every stage ends with a per-step wall-time table (rendered by
 # scripts/citimes through internal/dataset). Exits non-zero on the first
@@ -386,11 +387,12 @@ run_dist_smoke() {
 
 run_fuzz_smoke() {
 	# One dir:target entry per Fuzz function of every package under
-	# internal/; go test -fuzz takes one package and one target per run.
-	found="$(grep -Eo '^func Fuzz[A-Za-z0-9_]*' -r --include='*_test.go' internal |
+	# internal/ and cmd/; go test -fuzz takes one package and one target
+	# per run.
+	found="$(grep -Eo '^func Fuzz[A-Za-z0-9_]*' -r --include='*_test.go' internal cmd |
 		sed 's|/[^/]*_test.go:func |:|' | sort)"
 	if [ -z "$found" ]; then
-		echo "fuzz smoke: no Fuzz targets found under internal/" >&2
+		echo "fuzz smoke: no Fuzz targets found under internal/ or cmd/" >&2
 		return 1
 	fi
 	for entry in $found; do
