@@ -587,12 +587,16 @@ func BenchmarkMaskAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkReportGeneration times the full Markdown reproduction report.
+// BenchmarkReportGeneration times the full Markdown reproduction report,
+// on a fresh engine per iteration so every section computes.
 func BenchmarkReportGeneration(b *testing.B) {
-	opt := report.DefaultOptions()
-	opt.MCTrials = 1
+	req := engine.Request{Seed: experiments.DefaultSeed, Trials: 1}
 	for i := 0; i < b.N; i++ {
-		if _, err := report.Generate(context.Background(), opt); err != nil {
+		eng, err := engine.New(engine.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := report.Generate(context.Background(), eng, req); err != nil {
 			b.Fatal(err)
 		}
 	}

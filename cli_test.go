@@ -441,8 +441,10 @@ func TestCLIStructuredOutput(t *testing.T) {
 		}
 		// Values no design can be built from are bad flag values, never
 		// dropped for a default: a negative wire or bit count, a negative
-		// trial count, a non-finite number, and a zero sweep axis value,
-		// which would be computed at the default and labelled 0.
+		// trial count, a non-finite number, a zero sweep axis value,
+		// which would be computed at the default and labelled 0, and an
+		// unknown code family.
+		memBin := buildCmd(t, dir, "nwmem")
 		jobStore := filepath.Join(dir, "bad-grid-store")
 		for _, tc := range []struct {
 			bin  string
@@ -452,10 +454,13 @@ func TestCLIStructuredOutput(t *testing.T) {
 			{decoder, []string{"-rawbits", "-5"}},
 			{bin, []string{"-exp", "fig7", "-wires", "-3"}},
 			{bin, []string{"-exp", "fig5", "-trials", "-5"}},
+			{bin, []string{"-markdown", "-trials", "-5"}},
 			{sweepBin, []string{"-margins", "0"}},
 			{sweepBin, []string{"-job", "-job-store", jobStore, "-margins", "0"}},
 			{sweepBin, []string{"-job", "-job-store", jobStore, "-sigmas", "NaN"}},
 			{sweepBin, []string{"-job", "-sigmas", "Inf"}},
+			{decoder, []string{"-type", "bogus"}},
+			{memBin, []string{"-code", "bogus"}},
 		} {
 			if code, stderr := runFail(t, tc.bin, tc.args...); code != 2 {
 				t.Errorf("%s %v: exit %d, want 2 (%s)", filepath.Base(tc.bin), tc.args, code, stderr)

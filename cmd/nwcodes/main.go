@@ -22,7 +22,6 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/engine"
-	"nwdec/internal/nwerr"
 )
 
 func main() {
@@ -42,7 +41,7 @@ func main() {
 
 	tp, err := code.ParseType(*typeName)
 	if err != nil {
-		c.Exit(nwerr.Invalid(err))
+		c.Exit(err)
 	}
 	eng, err := engine.New(engine.Options{})
 	if err != nil {

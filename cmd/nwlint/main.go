@@ -13,14 +13,12 @@
 // ("./...", "./internal/lint/..."); any other argument is one package
 // directory. Packages are analyzed independently and in parallel
 // (-workers bounds the pool; output is byte-identical at every worker
-// count). Diagnostics that carry a suggested fix can be applied in place
-// with -fix or previewed as unified diffs with -diff (a dry run that
-// never writes).
+// count). nwlint only reports: it never rewrites source, and no source
+// comment silences a rule.
 //
 // Exit codes follow the internal/cli convention: 0 when the tree is
-// clean (with -fix: when every diagnostic was fixed), 1 when
-// diagnostics were found or the analysis failed, 2 on a usage error
-// (including a pattern that matches no package).
+// clean, 1 when diagnostics were found or the analysis failed, 2 on a
+// usage error (including a pattern that matches no package).
 package main
 
 import (
@@ -41,8 +39,6 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated rule subset to run (default: all)")
 	list := flag.Bool("list", false, "list the available rules and exit")
 	workers := flag.Int("workers", 0, "parallel analysis workers (0 = GOMAXPROCS)")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source tree")
-	diff := flag.Bool("diff", false, "preview suggested fixes as diffs without writing (dry run)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -59,9 +55,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		os.Exit(cli.ExitOK)
-	}
-	if *fix && *jsonOut {
-		usage(fmt.Errorf("-fix and -json are mutually exclusive"))
 	}
 
 	analyzers := lint.All()
@@ -101,30 +94,6 @@ func main() {
 		fail(err)
 	}
 
-	fixed := 0
-	if *fix || *diff {
-		files, err := lint.ApplyFixes(loader.Fset, diags)
-		if err != nil {
-			fail(err)
-		}
-		for _, f := range files {
-			if *diff {
-				fmt.Print(f.Diff())
-			}
-			if *fix && !*diff {
-				if err := os.WriteFile(f.Path, f.New, 0o644); err != nil {
-					fail(err)
-				}
-				rel := f.Path
-				if r, err := filepath.Rel(cwd, f.Path); err == nil && !strings.HasPrefix(r, "..") {
-					rel = r
-				}
-				fmt.Fprintf(os.Stderr, "nwlint: fixed %d issue(s) in %s\n", f.Applied, rel)
-			}
-			fixed += f.Applied
-		}
-	}
-
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].Position.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			diags[i].Position.Filename = rel
@@ -143,11 +112,6 @@ func main() {
 	if len(diags) > 0 {
 		if !*jsonOut {
 			fmt.Fprintf(os.Stderr, "nwlint: %d diagnostic(s)\n", len(diags))
-		}
-		// A -fix run that repaired everything leaves a clean tree: exit 0
-		// so scripted fix loops terminate.
-		if *fix && !*diff && fixed >= len(diags) {
-			os.Exit(cli.ExitOK)
 		}
 		os.Exit(cli.ExitError)
 	}

@@ -496,7 +496,7 @@ func queryConfig(r *http.Request) (core.Config, error) {
 	if t := q.Get("type"); t != "" {
 		tp, err := code.ParseType(t)
 		if err != nil {
-			return cfg, nwerr.Invalid(err)
+			return cfg, err
 		}
 		cfg.CodeType = tp
 	}

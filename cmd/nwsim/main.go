@@ -17,9 +17,10 @@
 // or the -metrics-out file, so stdout stays byte-identical — and -pprof
 // captures CPU/heap profiles plus an execution trace into a directory.
 //
-// Experiments are submitted through the internal/engine serving layer, so
-// a repeated experiment within one invocation (or one nwserve process) is
-// served from the result cache.
+// Experiments, the -markdown report's sections included, are submitted
+// through the internal/engine serving layer, which validates every request
+// the same way; a repeated experiment within one invocation (or one
+// nwserve process) is served from the result cache.
 package main
 
 import (
@@ -65,20 +66,6 @@ func main() {
 	cfg.SigmaT = *sigma
 	cfg.MarginFactor = *margin
 
-	if *md {
-		opt := report.DefaultOptions()
-		opt.Cfg = cfg
-		opt.MCTrials = *trials
-		opt.Seed = *seed
-		opt.Workers = c.Workers
-		out, err := report.Generate(ctx, opt)
-		if err != nil {
-			c.Exit(err)
-		}
-		fmt.Print(out)
-		return
-	}
-
 	eng, err := engine.New(engine.Options{})
 	if err != nil {
 		c.Exit(err)
@@ -89,6 +76,14 @@ func main() {
 		Seed:    *seed,
 		Trials:  *trials,
 		Workers: c.Workers,
+	}
+	if *md {
+		out, err := report.Generate(ctx, eng, req)
+		if err != nil {
+			c.Exit(err)
+		}
+		fmt.Print(out)
+		return
 	}
 	if *exp == "all" {
 		names := engine.ExperimentNames()

@@ -14,6 +14,7 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/crossbar"
+	"nwdec/internal/engine"
 	"nwdec/internal/experiments"
 	"nwdec/internal/report"
 	"nwdec/internal/stats"
@@ -98,9 +99,11 @@ func TestEndToEndOptimizerAgreesWithFig8(t *testing.T) {
 }
 
 func TestEndToEndReportIsSelfConsistent(t *testing.T) {
-	opt := report.DefaultOptions()
-	opt.MCTrials = 1
-	doc, err := report.Generate(context.Background(), opt)
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := report.Generate(context.Background(), eng, engine.Request{Seed: experiments.DefaultSeed, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

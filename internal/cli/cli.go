@@ -355,7 +355,7 @@ func Types(arg string) ([]code.Type, error) {
 	for _, s := range strings.Split(arg, ",") {
 		tp, err := code.ParseType(strings.TrimSpace(s))
 		if err != nil {
-			return nil, nwerr.Invalid(err)
+			return nil, err
 		}
 		out = append(out, tp)
 	}

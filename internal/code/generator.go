@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"nwdec/internal/nwerr"
 )
 
 // Type identifies a code family.
@@ -48,7 +50,7 @@ func AllTypes() []Type {
 }
 
 // ParseType parses a family abbreviation (case-insensitive): tc, gc, bgc,
-// hc, ahc.
+// hc, ahc. An unknown name is an Invalid-class error (see internal/nwerr).
 func ParseType(s string) (Type, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "tc", "tree":
@@ -62,7 +64,7 @@ func ParseType(s string) (Type, error) {
 	case "ahc", "arranged", "arranged-hot":
 		return TypeArrangedHot, nil
 	default:
-		return 0, fmt.Errorf("code: unknown code type %q (want tc|gc|bgc|hc|ahc)", s)
+		return 0, nwerr.Invalidf("code: unknown code type %q (want tc|gc|bgc|hc|ahc)", s)
 	}
 }
 

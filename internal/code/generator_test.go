@@ -3,6 +3,8 @@ package code
 import (
 	"strings"
 	"testing"
+
+	"nwdec/internal/nwerr"
 )
 
 func TestTypeStringAndReflected(t *testing.T) {
@@ -46,8 +48,8 @@ func TestParseType(t *testing.T) {
 			t.Errorf("ParseType(%q) = %v, %v", c.in, got, err)
 		}
 	}
-	if _, err := ParseType("nope"); err == nil {
-		t.Error("unknown name accepted")
+	if _, err := ParseType("nope"); !nwerr.IsInvalid(err) {
+		t.Errorf("ParseType(\"nope\") error = %v, want an Invalid-class error", err)
 	}
 }
 

@@ -160,12 +160,13 @@ func WordsDataset(tp code.Type, gen code.Generator, words []code.Word) *dataset.
 	st := code.Stats(words)
 	ds.Note("transitions: total=%d  per-step min/max=%d/%d  per-digit=%v (max %d)",
 		st.TotalTransitions, st.MinPerStep, st.MaxPerStep, st.PerDigit, st.MaxPerDigit)
-	ds.SetText(func() string { return renderWords(tp, gen, words) })
+	ds.SetText(func() string { return renderWords(tp, gen, words, ds.Notes) })
 	return ds
 }
 
-// renderWords is the historical nwcodes text listing.
-func renderWords(tp code.Type, gen code.Generator, words []code.Word) string {
+// renderWords is the historical nwcodes text listing, closed by the
+// dataset's notes (the transition statistics).
+func renderWords(tp code.Type, gen code.Generator, words []code.Word, notes []string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s  base=%d  M=%d  Ω=%d  (showing %d words)\n",
 		tp, gen.Base(), gen.Length(), gen.SpaceSize(), len(words))
@@ -179,9 +180,10 @@ func renderWords(tp code.Type, gen code.Generator, words []code.Word) string {
 		}
 		fmt.Fprintf(&sb, "%3d  %s  (%d digit changes)\n", i, w, w.Hamming(words[i-1]))
 	}
-	st := code.Stats(words)
-	fmt.Fprintf(&sb, "\ntransitions: total=%d  per-step min/max=%d/%d  per-digit=%v (max %d)\n",
-		st.TotalTransitions, st.MinPerStep, st.MaxPerStep, st.PerDigit, st.MaxPerDigit)
+	for _, n := range notes {
+		sb.WriteString("\n" + n)
+	}
+	sb.WriteString("\n")
 	return sb.String()
 }
 

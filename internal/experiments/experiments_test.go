@@ -57,7 +57,7 @@ func TestMinReflectedLength(t *testing.T) {
 
 func TestRenderFig5(t *testing.T) {
 	rows, _ := Fig5(Fig5N)
-	out := RenderFig5(rows)
+	out := Fig5Dataset(rows).Text()
 	for _, want := range []string{"Fig. 5", "ternary", "paper: 17%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in render", want)
@@ -105,7 +105,7 @@ func TestFig6SurfacesShape(t *testing.T) {
 
 func TestRenderFig6(t *testing.T) {
 	surfaces, _ := Fig6Workers(context.Background(), Fig6N, []int{8}, 0)
-	out := RenderFig6(surfaces)
+	out := Fig6Dataset(surfaces).Text()
 	for _, want := range []string{"Fig. 6", "TC (L=8)", "BGC (L=8)", "paper: 18%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
@@ -156,7 +156,7 @@ func TestFig7PaperShape(t *testing.T) {
 
 func TestRenderFig7(t *testing.T) {
 	points, _ := Fig7Workers(context.Background(), core.Config{}, 0)
-	out := RenderFig7(points)
+	out := Fig7Dataset(points).Text()
 	for _, want := range []string{"Fig. 7", "BGC vs TC at M=8", "paper: +42%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
@@ -217,7 +217,7 @@ func TestFig8PaperShape(t *testing.T) {
 
 func TestRenderFig8(t *testing.T) {
 	points, _ := Fig8Workers(context.Background(), core.Config{}, 0)
-	out := RenderFig8(points)
+	out := Fig8Dataset(points).Text()
 	for _, want := range []string{"Fig. 8", "smallest bit area", "paper: 51%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)

@@ -101,7 +101,7 @@ func Fig5GraySaving(rows []Fig5Row) float64 {
 }
 
 // Fig5Dataset packages the figure as a structured dataset; its text
-// rendering is RenderFig5.
+// rendering is renderFig5.
 func Fig5Dataset(rows []Fig5Row) *dataset.Dataset {
 	ds := dataset.New("fig5",
 		fmt.Sprintf("Fig. 5 — fabrication complexity Φ (additional litho/doping steps), N=%d", Fig5N),
@@ -117,12 +117,13 @@ func Fig5Dataset(rows []Fig5Row) *dataset.Dataset {
 		ds.AddRow(r.Logic, r.Base, r.Length, r.PhiTC, r.PhiGC, saving)
 	}
 	ds.Note("average multi-valued GC saving: %.0f%% (paper: 17%%)", 100*Fig5GraySaving(rows))
-	ds.SetText(func() string { return RenderFig5(rows) })
+	ds.SetText(func() string { return renderFig5(rows, ds.Notes) })
 	return ds
 }
 
-// RenderFig5 renders the figure as a grouped bar chart plus a table.
-func RenderFig5(rows []Fig5Row) string {
+// renderFig5 renders the figure as a grouped bar chart plus a table, then
+// the dataset's notes.
+func renderFig5(rows []Fig5Row, notes []string) string {
 	s := textplot.NewSeries(
 		fmt.Sprintf("Fig. 5 — fabrication complexity Φ (additional litho/doping steps), N=%d", Fig5N),
 		" steps", "TC", "GC")
@@ -133,6 +134,14 @@ func RenderFig5(rows []Fig5Row) string {
 		saving := float64(r.PhiTC-r.PhiGC) / float64(r.PhiTC)
 		tb.AddRowf(r.Logic, r.Base, r.Length, r.PhiTC, r.PhiGC, fmt.Sprintf("%.0f%%", 100*saving))
 	}
-	return s.String() + "\n" + tb.String() +
-		fmt.Sprintf("\naverage multi-valued GC saving: %.0f%% (paper: 17%%)\n", 100*Fig5GraySaving(rows))
+	return withNotes(s.String()+"\n"+tb.String(), notes)
+}
+
+// withNotes appends a text figure's notes to out: each note on a line of
+// its own after a blank line, closed by a newline.
+func withNotes(out string, notes []string) string {
+	for _, n := range notes {
+		out += "\n" + n
+	}
+	return out + "\n"
 }

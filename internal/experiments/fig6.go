@@ -77,8 +77,8 @@ func Fig6Workers(ctx context.Context, n int, lengths []int, workers int) ([]Fig6
 
 // fig6Dataset packages variability surfaces as a structured dataset: the
 // columnar part carries the per-panel summary metrics (the full surface
-// lives in the text rendering, which the caller supplies).
-func fig6Dataset(name, title string, surfaces []Fig6Surface, text func() string) *dataset.Dataset {
+// lives in the text rendering, which the caller installs).
+func fig6Dataset(name, title string, surfaces []Fig6Surface) *dataset.Dataset {
 	ds := dataset.New(name, title,
 		dataset.Col("code", dataset.String),
 		dataset.Col("M", dataset.Int),
@@ -88,18 +88,18 @@ func fig6Dataset(name, title string, surfaces []Fig6Surface, text func() string)
 	for _, s := range surfaces {
 		ds.AddRow(s.Type.String(), s.Length, s.AvgVariability, s.MaxNu)
 	}
-	ds.SetText(text)
 	return ds
 }
 
 // Fig6Dataset packages the variability figure; its text rendering is
-// RenderFig6.
+// renderFig6.
 func Fig6Dataset(surfaces []Fig6Surface) *dataset.Dataset {
 	ds := fig6Dataset("fig6",
 		fmt.Sprintf("Fig. 6 — normalized variability sqrt(Σ)/σ_T per (nanowire, digit), N=%d", Fig6N),
-		surfaces, func() string { return RenderFig6(surfaces) })
+		surfaces)
 	ds.Note("average GC/BGC variability saving vs TC: %.0f%% (paper: 18%%)",
 		100*Fig6VariabilitySaving(surfaces))
+	ds.SetText(func() string { return renderFig6(surfaces, ds.Notes) })
 	return ds
 }
 
@@ -108,7 +108,8 @@ func Fig6Dataset(surfaces []Fig6Surface) *dataset.Dataset {
 func Fig6HotDataset(surfaces []Fig6Surface) *dataset.Dataset {
 	ds := fig6Dataset("fig6hot",
 		fmt.Sprintf("Fig. 6 companion — hot-code variability maps, N=%d", Fig6N),
-		surfaces, func() string { return RenderFig6Hot(surfaces) })
+		surfaces)
+	ds.SetText(func() string { return RenderFig6Hot(surfaces) })
 	ds.Note("The arranged hot code reduces and flattens the variability exactly " +
 		"as the Gray arrangement does for tree codes — the paper's \"similar " +
 		"results were obtained\" claim, made concrete.")
@@ -141,8 +142,9 @@ func Fig6VariabilitySaving(surfaces []Fig6Surface) float64 {
 	return sum / float64(count)
 }
 
-// RenderFig6 renders each surface as a heat map plus summary metrics.
-func RenderFig6(surfaces []Fig6Surface) string {
+// renderFig6 renders each surface as a heat map plus summary metrics, then
+// the dataset's notes.
+func renderFig6(surfaces []Fig6Surface, notes []string) string {
 	out := fmt.Sprintf("Fig. 6 — normalized variability sqrt(Σ)/σ_T per (nanowire, digit), N=%d\n\n", Fig6N)
 	tb := textplot.NewTable("", "code", "M", "avg ‖Σ‖₁/(N·M) [σ_T²]", "max ν")
 	for _, s := range surfaces {
@@ -151,10 +153,7 @@ func RenderFig6(surfaces []Fig6Surface) string {
 			s.Root, "nanowire", "digit") + "\n"
 		tb.AddRowf(s.Type.String(), s.Length, s.AvgVariability, s.MaxNu)
 	}
-	out += tb.String()
-	out += fmt.Sprintf("\naverage GC/BGC variability saving vs TC: %.0f%% (paper: 18%%)\n",
-		100*Fig6VariabilitySaving(surfaces))
-	return out
+	return withNotes(out+tb.String(), notes)
 }
 
 // Fig6HotWorkers computes the variability surfaces for the hot code and its

@@ -115,7 +115,7 @@ func addYieldRows(ds *dataset.Dataset, points []YieldPoint) {
 }
 
 // Fig7Dataset packages the yield figure as a structured dataset; its text
-// rendering is RenderFig7.
+// rendering is renderFig7.
 func Fig7Dataset(points []YieldPoint) *dataset.Dataset {
 	ds := dataset.New("fig7",
 		"Fig. 7 — crossbar yield (addressable crosspoint fraction)",
@@ -133,7 +133,7 @@ func Fig7Dataset(points []YieldPoint) *dataset.Dataset {
 	if hc, ahc := find(points, code.TypeHot, 8), find(points, code.TypeArrangedHot, 8); hc != nil && ahc != nil {
 		ds.Note("AHC vs HC at M=8:      %+.0f%% (paper: +19%%)", 100*(ahc.Yield-hc.Yield)/hc.Yield)
 	}
-	ds.SetText(func() string { return RenderFig7(points) })
+	ds.SetText(func() string { return renderFig7(points, ds.Notes) })
 	return ds
 }
 
@@ -147,26 +147,14 @@ func find(points []YieldPoint, tp code.Type, length int) *YieldPoint {
 	return nil
 }
 
-// RenderFig7 renders the yield panels with the paper's comparison ratios.
-func RenderFig7(points []YieldPoint) string {
+// renderFig7 renders the yield panels, then the dataset's notes (the
+// paper's comparison ratios).
+func renderFig7(points []YieldPoint, notes []string) string {
 	s := textplot.NewSeries("Fig. 7 — crossbar yield (addressable crosspoint fraction)", "%")
 	tb := textplot.NewTable("", "code", "M", "yield", "Φ", "avg Σ [σ²]")
 	for _, p := range points {
 		s.Set(p.Type.String(), fmt.Sprintf("M=%d", p.Length), 100*p.Yield)
 		tb.AddRowf(p.Type.String(), p.Length, fmt.Sprintf("%.1f%%", 100*p.Yield), p.Phi, p.AvgVariability/(0.05*0.05))
 	}
-	out := s.String() + "\n" + tb.String()
-	if tc6, tc10 := find(points, code.TypeTree, 6), find(points, code.TypeTree, 10); tc6 != nil && tc10 != nil {
-		out += fmt.Sprintf("\nTC yield gain M 6->10: %+.0f%% (paper: ~40%%)", 100*(tc10.Yield-tc6.Yield)/tc6.Yield)
-	}
-	if hc4, hc8 := find(points, code.TypeHot, 4), find(points, code.TypeHot, 8); hc4 != nil && hc8 != nil {
-		out += fmt.Sprintf("\nHC yield gain M 4->8:  %+.0f%% (paper: ~40%%)", 100*(hc8.Yield-hc4.Yield)/hc4.Yield)
-	}
-	if tc, bgc := find(points, code.TypeTree, 8), find(points, code.TypeBalancedGray, 8); tc != nil && bgc != nil {
-		out += fmt.Sprintf("\nBGC vs TC at M=8:      %+.0f%% (paper: +42%%)", 100*(bgc.Yield-tc.Yield)/tc.Yield)
-	}
-	if hc, ahc := find(points, code.TypeHot, 8), find(points, code.TypeArrangedHot, 8); hc != nil && ahc != nil {
-		out += fmt.Sprintf("\nAHC vs HC at M=8:      %+.0f%% (paper: +19%%)", 100*(ahc.Yield-hc.Yield)/hc.Yield)
-	}
-	return out + "\n"
+	return withNotes(s.String()+"\n"+tb.String(), notes)
 }

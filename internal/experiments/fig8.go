@@ -28,7 +28,7 @@ func Fig8Workers(ctx context.Context, cfg core.Config, workers int) ([]YieldPoin
 }
 
 // Fig8Dataset packages the bit-area figure as a structured dataset; its
-// text rendering is RenderFig8.
+// text rendering is renderFig8.
 func Fig8Dataset(points []YieldPoint) *dataset.Dataset {
 	ds := dataset.New("fig8", "Fig. 8 — average area per functional bit",
 		yieldColumns()...)
@@ -48,7 +48,7 @@ func Fig8Dataset(points []YieldPoint) *dataset.Dataset {
 	min := Fig8MinBitArea(points)
 	ds.Note("smallest bit area: %.0f nm² with %s M=%d (paper: 169 nm² BGC, 175 nm² AHC)",
 		min.BitArea, min.Type, min.Length)
-	ds.SetText(func() string { return RenderFig8(points) })
+	ds.SetText(func() string { return renderFig8(points, ds.Notes) })
 	return ds
 }
 
@@ -63,29 +63,14 @@ func Fig8MinBitArea(points []YieldPoint) YieldPoint {
 	return min
 }
 
-// RenderFig8 renders the bit-area figure and the paper's comparison ratios.
-func RenderFig8(points []YieldPoint) string {
+// renderFig8 renders the bit-area figure, then the dataset's notes (the
+// paper's comparison ratios).
+func renderFig8(points []YieldPoint, notes []string) string {
 	s := textplot.NewSeries("Fig. 8 — average area per functional bit", " nm²")
 	tb := textplot.NewTable("", "code", "M", "bit area [nm²]", "yield")
 	for _, p := range points {
 		s.Set(p.Type.String(), fmt.Sprintf("M=%d", p.Length), p.BitArea)
 		tb.AddRowf(p.Type.String(), p.Length, p.BitArea, fmt.Sprintf("%.1f%%", 100*p.Yield))
 	}
-	out := s.String() + "\n" + tb.String()
-	if tc6, tc10 := find(points, code.TypeTree, 6), find(points, code.TypeTree, 10); tc6 != nil && tc10 != nil {
-		out += fmt.Sprintf("\nTC area saving M 6->10:   %.0f%% (paper: 51%%)",
-			100*(tc6.BitArea-tc10.BitArea)/tc6.BitArea)
-	}
-	if tc, bgc := find(points, code.TypeTree, 8), find(points, code.TypeBalancedGray, 8); tc != nil && bgc != nil {
-		out += fmt.Sprintf("\nBGC density vs TC at M=8: %.0f%% denser (paper: 30%%)",
-			100*(tc.BitArea-bgc.BitArea)/tc.BitArea)
-	}
-	if hc, ahc := find(points, code.TypeHot, 6), find(points, code.TypeArrangedHot, 6); hc != nil && ahc != nil {
-		out += fmt.Sprintf("\nAHC area vs HC at M=6:    %.0f%% smaller (paper: 13%%)",
-			100*(hc.BitArea-ahc.BitArea)/hc.BitArea)
-	}
-	min := Fig8MinBitArea(points)
-	out += fmt.Sprintf("\nsmallest bit area: %.0f nm² with %s M=%d (paper: 169 nm² BGC, 175 nm² AHC)\n",
-		min.BitArea, min.Type, min.Length)
-	return out
+	return withNotes(s.String()+"\n"+tb.String(), notes)
 }

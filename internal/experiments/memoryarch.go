@@ -128,7 +128,7 @@ func Sneak(sizes []int) ([]SneakPoint, error) {
 }
 
 // SneakDataset packages the sensing analysis as a structured dataset; its
-// text rendering is RenderSneak.
+// text rendering is renderSneak.
 func SneakDataset(points []SneakPoint) *dataset.Dataset {
 	ds := dataset.New("sneak",
 		"Extension — crosspoint sensing: worst-case off/on read ratio",
@@ -148,12 +148,13 @@ func SneakDataset(points []SneakPoint) *dataset.Dataset {
 		ds.Note("write-disturb margin at 1.2 V: V/2 scheme %.2f, V/3 scheme %.2f",
 			half, third)
 	}
-	ds.SetText(func() string { return RenderSneak(points) })
+	ds.SetText(func() string { return renderSneak(points, ds.Notes) })
 	return ds
 }
 
-// RenderSneak renders the sensing table and bias-scheme margins.
-func RenderSneak(points []SneakPoint) string {
+// renderSneak renders the sensing table, then the dataset's notes (the
+// readable-array limit and the bias-scheme margins).
+func renderSneak(points []SneakPoint, notes []string) string {
 	tb := textplot.NewTable(
 		"Extension — crosspoint sensing: worst-case off/on read ratio",
 		"array n x n", "passive cell", "diode cell [16]")
@@ -162,17 +163,8 @@ func RenderSneak(points []SneakPoint) string {
 			fmt.Sprintf("%.3f", p.PassiveRatio),
 			fmt.Sprintf("%.3f", p.DiodeRatio))
 	}
-	out := tb.String()
-	diode := crossbar.DiodeCellModel()
-	limit := diode.MaxReadableArray(1.5)
-	out += fmt.Sprintf("\nmax diode-isolated array at sensing ratio 1.5: %d wires/side\n", limit)
-	half, err := diode.DisturbMargin(1.2, crossbar.BiasHalf)
-	third, err2 := diode.DisturbMargin(1.2, crossbar.BiasThird)
-	if err == nil && err2 == nil {
-		out += fmt.Sprintf("write-disturb margin at 1.2 V: V/2 scheme %.2f, V/3 scheme %.2f\n", half, third)
-	}
-	out += "\nPassive crosspoints are shorted by sneak paths beyond a few wires;\n" +
+	return withNotes(tb.String(), notes) +
+		"\nPassive crosspoints are shorted by sneak paths beyond a few wires;\n" +
 		"the integrated nanowire diode of reference [16] restores sensing\n" +
 		"ratios that comfortably cover the paper's 128-wire layers.\n"
-	return out
 }

@@ -72,7 +72,7 @@ func TestSneakShapes(t *testing.T) {
 	if at128.DiodeRatio < 1.5 {
 		t.Errorf("diode 128 array unreadable: %g", at128.DiodeRatio)
 	}
-	out := RenderSneak(points)
+	out := SneakDataset(points).Text()
 	for _, want := range []string{"off/on read ratio", "V/2 scheme", "max diode-isolated array"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)

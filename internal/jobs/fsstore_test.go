@@ -272,17 +272,25 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"base":{"Model":{}}}`))
 	f.Add([]byte(`{"base":{"SigmaT":-0,"CodeType":99},"grid":{"Types":[],"SigmaTs":[1e308]},"chunk":-5}`))
+	// Two stores serve every input, as in FuzzChunkJSON: each input
+	// overwrites the same spec file in the first, and the decoded job is
+	// removed from the second before PutSpec, so the round trip always
+	// starts from a store that holds no such job.
+	const id = "j-fuzz"
+	fs, err := NewFSStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(fs.jobDir(id), "spec.json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	fresh, err := NewFSStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const id = "j-fuzz"
-		fs, err := NewFSStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := fs.jobDir(id)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "spec.json"), data, 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		spec, err := fs.GetSpec(id)
@@ -292,8 +300,7 @@ func FuzzSpecJSON(f *testing.F) {
 			}
 			return
 		}
-		fresh, err := NewFSStore(t.TempDir())
-		if err != nil {
+		if err := os.RemoveAll(fresh.jobDir(spec.ID())); err != nil {
 			t.Fatal(err)
 		}
 		if err := fresh.PutSpec(spec.ID(), spec); err != nil {

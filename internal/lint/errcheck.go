@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -93,9 +92,7 @@ func checkBlankAssign(p *Pass, as *ast.AssignStmt) {
 }
 
 // checkErrorfWrap reports fmt.Errorf calls that format an error cause
-// without the %w wrapping verb. When the format string is a plain
-// literal, the diagnostic carries a fix that rewrites the verb matching
-// the error argument to %w.
+// without the %w wrapping verb.
 func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
@@ -108,68 +105,15 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return
 	}
-	format := constant.StringVal(tv.Value)
-	if strings.Contains(format, "%w") {
+	if strings.Contains(constant.StringVal(tv.Value), "%w") {
 		return
 	}
-	for i, arg := range call.Args[1:] {
+	for _, arg := range call.Args[1:] {
 		if isErrorType(p.Info.TypeOf(arg)) {
-			p.Report(call.Pos(),
-				"fmt.Errorf formats an error cause without %w; wrap it so errors.Is/As keep working",
-				wrapVerbFix(p, call, i)...)
+			p.Reportf(call.Pos(), "fmt.Errorf formats an error cause without %%w; wrap it so errors.Is/As keep working")
 			return
 		}
 	}
-}
-
-// wrapVerbFix builds the suggested fix for an unwrapped Errorf cause:
-// replace the verb consumed by vararg index argIdx with %w. The fix is
-// only offered when the format is a direct string literal in the call
-// (so the edit lands inside real source) without explicit argument
-// indexes, and the verb for that argument can be located unambiguously.
-func wrapVerbFix(p *Pass, call *ast.CallExpr, argIdx int) []SuggestedFix {
-	lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING || strings.Contains(lit.Value, "%[") {
-		return nil
-	}
-	// Scan the raw literal text (quotes and escapes exactly as in
-	// source) for verbs; escape sequences never produce a '%', so byte
-	// offsets in lit.Value are source offsets from lit.Pos().
-	verb := -1
-	count := 0
-	for i := 0; i < len(lit.Value); i++ {
-		if lit.Value[i] != '%' {
-			continue
-		}
-		j := i + 1
-		for j < len(lit.Value) && strings.ContainsRune("#0- +.123456789", rune(lit.Value[j])) {
-			j++
-		}
-		if j >= len(lit.Value) {
-			break
-		}
-		if lit.Value[j] == '%' {
-			i = j // literal %%
-			continue
-		}
-		if lit.Value[j] == '*' {
-			return nil // a star width consumes an argument; mapping is off
-		}
-		if count == argIdx {
-			verb = j
-			break
-		}
-		count++
-		i = j
-	}
-	if verb < 0 {
-		return nil
-	}
-	pos := lit.Pos() + token.Pos(verb)
-	return []SuggestedFix{{
-		Message: "wrap the error cause with %w",
-		Edits:   []TextEdit{{Pos: pos, End: pos + 1, NewText: "w"}},
-	}}
 }
 
 // isBlank reports whether expr is the blank identifier.

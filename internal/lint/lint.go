@@ -7,9 +7,7 @@
 // The framework runs each Analyzer over a fully type-checked package.
 // Every rule is decided from one package alone, so packages are analyzed
 // independently, in parallel on the internal/par pool, and the
-// diagnostic stream is byte-identical at every worker count. Diagnostics
-// may carry SuggestedFixes that the cmd/nwlint driver applies with -fix
-// (or previews with -diff).
+// diagnostic stream is byte-identical at every worker count.
 //
 // The invariants the analyzers protect are the ones the paper
 // reproduction depends on:
@@ -36,15 +34,9 @@
 //     cluster, obs stays below the pipeline, and the text renderers are
 //     reachable only from the edges (rule "layering").
 //
-// A diagnostic can be suppressed at a specific site with a directive
-// comment on the same line or the line above:
-//
-//	//nwlint:ignore <rule> <reason>
-//
-// The reason is mandatory: an unexplained suppression is itself
-// reported, as is one naming a rule that does not exist. A directive
-// that no longer suppresses anything is reported as stale (with a fix
-// that deletes it), so suppressions rot away instead of accumulating.
+// No source comment can silence a rule. Exceptions live in one place:
+// Config's package lists (DeterministicPkgs, GoroutinePkgs,
+// PrintAllowedPkgs, ...) decide where each rule applies.
 // The cmd/nwlint driver applies the analyzers to module packages; the
 // self-tests apply them to fixture packages under testdata/src with
 // expected-diagnostic annotations.
@@ -55,14 +47,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
 // Analyzer is one named rule: a documented invariant plus the pass that
 // enforces it over a type-checked package.
 type Analyzer struct {
-	// Name is the rule identifier used in diagnostics and ignore
-	// directives ("determinism", "ctxfirst", ...).
+	// Name is the rule identifier used in diagnostics and -rules
+	// ("determinism", "ctxfirst", ...).
 	Name string
 	// Doc is the one-line statement of the invariant the rule protects.
 	Doc string
@@ -83,29 +76,20 @@ func All() []*Analyzer {
 // ByName resolves a comma-separated rule list ("determinism,errcheck").
 // An unknown name is an error listing the known rules.
 func ByName(list string) ([]*Analyzer, error) {
+	all := All()
 	var out []*Analyzer
 	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		a := lookup(name)
-		if a == nil {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == name })
+		if i < 0 {
 			return nil, fmt.Errorf("lint: unknown rule %q (known: %s)", name, knownRules())
 		}
-		out = append(out, a)
+		out = append(out, all[i])
 	}
 	return out, nil
-}
-
-// lookup returns the analyzer named name, or nil for an unknown rule.
-func lookup(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // knownRules lists the rule names for error messages.
@@ -117,25 +101,6 @@ func knownRules() string {
 	return strings.Join(names, ", ")
 }
 
-// TextEdit is one span replacement of a suggested fix. Pos and End are
-// positions in the pass's file set; NewText replaces the source bytes of
-// [Pos, End).
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is a self-contained repair for a diagnostic: a set of
-// non-overlapping edits the cmd/nwlint -fix mode applies mechanically.
-// A fix must preserve behavior except for curing the violation.
-type SuggestedFix struct {
-	// Message describes the repair ("wrap the error cause with %w").
-	Message string
-	// Edits are the span replacements, in any order.
-	Edits []TextEdit
-}
-
 // Diagnostic is one reported violation, positioned to the character.
 type Diagnostic struct {
 	// Position locates the violation (filename, line, column).
@@ -144,8 +109,6 @@ type Diagnostic struct {
 	Rule string
 	// Message states the violation and the repair direction.
 	Message string
-	// Fixes are optional mechanical repairs (applied by nwlint -fix).
-	Fixes []SuggestedFix
 }
 
 // String renders the conventional file:line:col form.
@@ -181,16 +144,5 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Position: p.Fset.Position(pos),
 		Rule:     p.rule,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Report records a fully-formed diagnostic (message plus suggested
-// fixes) at pos under the running rule.
-func (p *Pass) Report(pos token.Pos, message string, fixes ...SuggestedFix) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Position: p.Fset.Position(pos),
-		Rule:     p.rule,
-		Message:  message,
-		Fixes:    fixes,
 	})
 }

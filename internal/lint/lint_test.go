@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -119,127 +118,6 @@ func TestAnalyzers(t *testing.T) {
 			diags := lint.Run([]*lint.Package{pkg}, analyzers, cfg)
 			matchDiagnostics(t, diags, wants(t, pkg))
 		})
-	}
-}
-
-// TestSuppression pins the //nwlint:ignore mechanics: a well-formed
-// directive (above or inline) silences its diagnostic, a reason-less
-// directive is reported as malformed and suppresses nothing.
-func TestSuppression(t *testing.T) {
-	loader := newTestLoader(t)
-	cfg := lint.DefaultConfig(loader.Module)
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "suppress"), "nwdec/internal/mspt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers, err := lint.ByName("determinism")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lint.Run([]*lint.Package{pkg}, analyzers, cfg)
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (malformed directive + surviving violation):\n%v", len(diags), diags)
-	}
-	var sawMalformed, sawSurvivor bool
-	for _, d := range diags {
-		switch d.Rule {
-		case "ignore":
-			if !strings.Contains(d.Message, "malformed directive") {
-				t.Errorf("ignore diagnostic has message %q", d.Message)
-			}
-			sawMalformed = true
-		case "determinism":
-			sawSurvivor = true
-			// The surviving violation must be the one under the malformed
-			// directive, i.e. after both well-formed suppressions.
-			if d.Position.Line < 20 {
-				t.Errorf("suppressed diagnostic leaked through at line %d", d.Position.Line)
-			}
-		default:
-			t.Errorf("unexpected rule %q", d.Rule)
-		}
-	}
-	if !sawMalformed || !sawSurvivor {
-		t.Errorf("malformed=%v survivor=%v, want both", sawMalformed, sawSurvivor)
-	}
-}
-
-// TestStaleDirectives pins the stale-suppression detection: a directive
-// that still suppresses a diagnostic survives untouched; one that
-// matches nothing is reported with a deletion fix — so exiting 1 on a
-// stale directive comes for free from the normal diagnostic path.
-func TestStaleDirectives(t *testing.T) {
-	loader := newTestLoader(t)
-	cfg := lint.DefaultConfig(loader.Module)
-	// internal/code is a deterministic package, so the fixture's live
-	// directive really suppresses a time.Now diagnostic.
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "stale"), "nwdec/internal/code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers, err := lint.ByName("determinism")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lint.Run([]*lint.Package{pkg}, analyzers, cfg)
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly the stale directive:\n%v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Rule != "ignore" || !strings.Contains(d.Message, "stale directive: no determinism diagnostic") {
-		t.Errorf("diagnostic = %s", d)
-	}
-	if len(d.Fixes) != 1 || len(d.Fixes[0].Edits) != 1 {
-		t.Errorf("stale directive carries no deletion fix: %+v", d.Fixes)
-	}
-}
-
-// TestUnknownRuleDirectives pins the unknown-rule check: a directive
-// naming a rule nwlint does not have is reported with a deletion fix
-// whichever rules ran, and suppresses nothing; a directive for a known
-// rule left out of the run (determinism under -rules errcheck) is not
-// reported.
-func TestUnknownRuleDirectives(t *testing.T) {
-	loader := newTestLoader(t)
-	cfg := lint.DefaultConfig(loader.Module)
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "unknownrule"), "nwdec/internal/code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	typo := `11: ignore: directive names unknown rule "determinsm" and suppresses nothing`
-	retired := `17: ignore: directive names unknown rule "atomicfield" and suppresses nothing`
-	for _, tc := range []struct {
-		rules string
-		want  []string
-	}{
-		{"determinism", []string{typo, "12: determinism: time.Now reads the wall clock", retired}},
-		{"errcheck", []string{typo, retired}},
-	} {
-		analyzers, err := lint.ByName(tc.rules)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags := lint.Run([]*lint.Package{pkg}, analyzers, cfg)
-		if len(diags) != len(tc.want) {
-			t.Fatalf("-rules %s: got %d diagnostics, want %d:\n%v", tc.rules, len(diags), len(tc.want), diags)
-		}
-		for i, d := range diags {
-			if got := fmt.Sprintf("%d: %s: %s", d.Position.Line, d.Rule, d.Message); !strings.HasPrefix(got, tc.want[i]) {
-				t.Errorf("-rules %s: diagnostic %d = %q, want prefix %q", tc.rules, i, got, tc.want[i])
-			}
-		}
-		files, err := lint.ApplyFixes(loader.Fset, diags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) != 1 || files[0].Applied != 2 {
-			t.Fatalf("-rules %s: fixes = %+v, want the two unknown-rule deletions", tc.rules, files)
-		}
-		fixed := string(files[0].New)
-		if strings.Contains(fixed, "determinsm") || strings.Contains(fixed, "atomicfield") ||
-			!strings.Contains(fixed, "//nwlint:ignore determinism boot stamp") {
-			t.Errorf("-rules %s: fixed source keeps an unknown-rule directive or lost the live one:\n%s", tc.rules, fixed)
-		}
 	}
 }
 

@@ -28,13 +28,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 // byte-identical at every worker count: each package collects into its
 // own slice and the merged stream is fully ordered (file, line, column,
 // rule, message).
-//
-// Suppression directives (//nwlint:ignore rule reason) are honored per
-// package; malformed directives and directives naming an unknown rule
-// are reported under the pseudo-rule "ignore", and well-formed
-// directives that no longer suppress any diagnostic of the rules that
-// ran are reported as stale, each with a suggested fix that deletes the
-// directive.
 func RunParallel(ctx context.Context, workers int, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
 	perPkg, err := par.Map(ctx, workers, pkgs, func(_ context.Context, _ int, pkg *Package) ([]Diagnostic, error) {
 		return analyze(pkg, analyzers, cfg), nil
@@ -66,10 +59,9 @@ func RunParallel(ctx context.Context, workers int, pkgs []*Package, analyzers []
 	return diags, nil
 }
 
-// analyze runs every analyzer over one package and applies the
-// suppression pass. It touches only its own pass state and reads the
-// shared package data, so concurrent calls over distinct packages are
-// race-free.
+// analyze runs every analyzer over one package. It touches only its own
+// pass state and reads the shared package data, so concurrent calls over
+// distinct packages are race-free.
 func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 	var diags []Diagnostic
 	pass := &Pass{
@@ -85,9 +77,5 @@ func analyze(pkg *Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 		pass.rule = a.Name
 		a.Run(pass)
 	}
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	return suppress(pkg, diags, ran)
+	return diags
 }

@@ -70,3 +70,10 @@ func Dump(w io.Writer, m map[string]int) {
 		fmt.Fprintf(w, "%s=%d\n", k, v) // want `determinism: output written inside range over map`
 	}
 }
+
+// Boot carries a leftover suppression directive. No comment silences a
+// rule, so the directive is an inert comment and the read is reported.
+func Boot() int64 {
+	//nwlint:ignore determinism boot stamp for logs, never enters results
+	return time.Now().Unix() // want `determinism: time.Now reads the wall clock`
+}

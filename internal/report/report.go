@@ -10,86 +10,55 @@ import (
 	"fmt"
 	"strings"
 
-	"nwdec/internal/core"
 	"nwdec/internal/dataset"
-	"nwdec/internal/experiments"
+	"nwdec/internal/engine"
 )
 
-// Options configures report generation.
-type Options struct {
-	// Cfg is the platform configuration shared by all experiments.
-	Cfg core.Config
-	// Title heads the document.
-	Title string
-	// IncludeAblations adds the reproduction-only sections.
-	IncludeAblations bool
-	// MCTrials and Seed drive the Monte-Carlo validation section.
-	MCTrials int
-	Seed     uint64
-	// Workers bounds the worker pool of the underlying experiments
-	// (0 = GOMAXPROCS). The document is bit-identical at every worker count.
-	Workers int
-}
-
-// DefaultOptions returns the standard full report configuration.
-func DefaultOptions() Options {
-	return Options{
-		Title:            "MSPT nanowire decoder — reproduction report",
-		IncludeAblations: true,
-		MCTrials:         experiments.DefaultMCTrials,
-		Seed:             experiments.DefaultSeed,
-	}
-}
-
 // sections maps document headings to the registry experiments that fill
-// them, in presentation order. The ablation subsections are only included
-// when Options.IncludeAblations is set.
+// them, in presentation order. An entry without an experiment is a bare
+// heading.
 var sections = []struct {
 	heading    string
 	experiment string
-	ablation   bool
 }{
-	{"## Fig. 5 — fabrication complexity", "fig5", false},
-	{"## Fig. 6 — decoder variability", "fig6", false},
-	{"## Fig. 7 — crossbar yield vs code length", "fig7", false},
-	{"## Fig. 8 — effective bit area", "fig8", false},
-	{"## Headline claims", "headline", false},
-	{"### Arrangement (Propositions 4-5)", "arrangement", true},
-	{"### Threshold-model invariance", "model", true},
-	{"### Multi-valued decoders", "multivalued", true},
-	{"### Mask-set economics", "masks", true},
-	{"### Thermal robustness (300 K design)", "temperature", true},
-	{"### Cave-depth scaling (BGC, M=10)", "scaling", true},
-	{"### Monte-Carlo validation", "montecarlo", true},
+	{"# MSPT nanowire decoder — reproduction report", ""},
+	{"## Fig. 5 — fabrication complexity", "fig5"},
+	{"## Fig. 6 — decoder variability", "fig6"},
+	{"## Fig. 7 — crossbar yield vs code length", "fig7"},
+	{"## Fig. 8 — effective bit area", "fig8"},
+	{"## Headline claims", "headline"},
+	{"## Ablations and extensions", ""},
+	{"### Arrangement (Propositions 4-5)", "arrangement"},
+	{"### Threshold-model invariance", "model"},
+	{"### Multi-valued decoders", "multivalued"},
+	{"### Mask-set economics", "masks"},
+	{"### Thermal robustness (300 K design)", "temperature"},
+	{"### Cave-depth scaling (BGC, M=10)", "scaling"},
+	{"### Monte-Carlo validation", "montecarlo"},
 }
 
-// Generate runs every experiment and assembles the Markdown document from
-// the resulting datasets. Cancelling ctx aborts generation with ctx's error.
-func Generate(ctx context.Context, opt Options) (string, error) {
-	r := &experiments.Runner{
-		Cfg:      opt.Cfg,
-		MCTrials: opt.MCTrials,
-		Seed:     opt.Seed,
-		Workers:  opt.Workers,
-	}
+// Generate sends one experiment request per section through b and
+// assembles the Markdown document from the resulting datasets. base
+// carries the parameters every section shares (Config, Seed, Trials,
+// Workers); Generate sets its Kind and Experiment. An engine facade as b
+// validates each request exactly as for a single experiment, so a
+// malformed base fails with an Invalid-class error. Cancelling ctx aborts
+// generation with ctx's error.
+func Generate(ctx context.Context, b engine.Backend, base engine.Request) (string, error) {
+	req := base
+	req.Kind = engine.KindExperiment
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "# %s\n\n", opt.Title)
-	wroteAblationHeader := false
 	for _, sec := range sections {
-		if sec.ablation {
-			if !opt.IncludeAblations {
-				continue
-			}
-			if !wroteAblationHeader {
-				sb.WriteString("## Ablations and extensions\n\n")
-				wroteAblationHeader = true
-			}
+		if sec.experiment == "" {
+			sb.WriteString(sec.heading + "\n\n")
+			continue
 		}
-		ds, err := r.Run(ctx, sec.experiment)
+		req.Experiment = sec.experiment
+		resp, err := b.Handle(ctx, req)
 		if err != nil {
 			return "", fmt.Errorf("report: %s: %w", sec.experiment, err)
 		}
-		writeSection(&sb, sec.heading, ds)
+		writeSection(&sb, sec.heading, resp.Dataset)
 	}
 	return sb.String(), nil
 }

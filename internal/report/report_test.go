@@ -4,12 +4,17 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"nwdec/internal/engine"
+	"nwdec/internal/experiments"
 )
 
 func TestGenerateFullReport(t *testing.T) {
-	opt := DefaultOptions()
-	opt.MCTrials = 1
-	doc, err := Generate(context.Background(), opt)
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Generate(context.Background(), eng, engine.Request{Seed: experiments.DefaultSeed, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,21 +44,5 @@ func TestGenerateFullReport(t *testing.T) {
 	}
 	if strings.Contains(doc, "✘") {
 		t.Error("report contains failed headline claims")
-	}
-}
-
-func TestGenerateWithoutAblations(t *testing.T) {
-	opt := DefaultOptions()
-	opt.IncludeAblations = false
-	opt.Title = "short"
-	doc, err := Generate(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(doc, "## Ablations") {
-		t.Error("ablations included despite option")
-	}
-	if !strings.HasPrefix(doc, "# short\n") {
-		t.Error("custom title missing")
 	}
 }

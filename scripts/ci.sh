@@ -14,9 +14,9 @@
 #             the tree must be free of diagnostics under all eight rules
 #             (determinism, ctxfirst, nogoroutine, errcheck, printbound,
 #             scratchconfine, typedatomic, layering). The JSON report
-#             lands in ci-artifacts/nwlint.json; zero diagnostics also
-#             means fix-clean, since a suggested fix only exists on a
-#             diagnostic
+#             lands in ci-artifacts/nwlint.json; no source comment can
+#             silence a rule, so exceptions are visible in
+#             internal/lint/config.go only
 #          5. (cd _perfbench && go vet ./...)  — type-checks the benchmark
 #             harness, which ./... skips because of the leading
 #             underscore, so deleting API it calls fails here and not
@@ -135,7 +135,7 @@ run_perfbench_vet() {
 }
 
 run_nwlint() {
-	# Exit 0 means zero diagnostics, so the tree is also fix-clean.
+	# Exit 0 means zero diagnostics under every rule.
 	gate "$artifacts/nwlint.json" go run ./cmd/nwlint -json ./...
 }
 
