@@ -455,6 +455,10 @@ func TestCLIStructuredOutput(t *testing.T) {
 			{bin, []string{"-exp", "fig7", "-wires", "-3"}},
 			{bin, []string{"-exp", "fig5", "-trials", "-5"}},
 			{bin, []string{"-markdown", "-trials", "-5"}},
+			// The report is every experiment as Markdown; a flag
+			// choosing one experiment or another format contradicts it.
+			{bin, []string{"-markdown", "-exp", "fig5"}},
+			{bin, []string{"-markdown", "-format", "json"}},
 			{sweepBin, []string{"-margins", "0"}},
 			{sweepBin, []string{"-job", "-job-store", jobStore, "-margins", "0"}},
 			{sweepBin, []string{"-job", "-job-store", jobStore, "-sigmas", "NaN"}},

@@ -364,7 +364,7 @@ func (s *server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, nwerr.Invalidf("jobs: decoding spec: %v", err))
+		writeError(w, nwerr.Invalidf("jobs: decoding spec: %w", err))
 		return
 	}
 	st, err := s.runner.Submit(r.Context(), spec)

@@ -17,6 +17,9 @@
 // or the -metrics-out file, so stdout stays byte-identical — and -pprof
 // captures CPU/heap profiles plus an execution trace into a directory.
 //
+// -markdown renders every experiment as one Markdown report instead; it
+// refuses -exp and -format, which would contradict it.
+//
 // Experiments, the -markdown report's sections included, are submitted
 // through the internal/engine serving layer, which validates every request
 // the same way; a repeated experiment within one invocation (or one
@@ -48,6 +51,15 @@ func main() {
 	)
 	c := cli.Register("nwsim", "text")
 	flag.Parse()
+	if *md {
+		// The report is every experiment, rendered as Markdown: a flag
+		// that picks one experiment or another format contradicts it.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "exp" || f.Name == "format" {
+				c.Usage(fmt.Errorf("-markdown renders the whole report as Markdown; it takes no -%s", f.Name))
+			}
+		})
+	}
 	ctx, cancel := c.Context()
 	defer cancel()
 	defer c.Close()

@@ -49,12 +49,19 @@ func ParseJSON(r io.Reader) (*Dataset, error) {
 	if _, err := io.CopyBuffer(&sb, r, make([]byte, 512)); err != nil {
 		return nil, fmt.Errorf("dataset: reading JSON: %w", err)
 	}
-	p := decoder{s: sb.String()}
-	d, err := p.document()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: parsing JSON: %w", err)
-	}
-	return d, nil
+	return parse(sb.String(), false)
+}
+
+// CheckJSON reports whether data is a document ParseJSON accepts,
+// without building the dataset: it returns nil exactly when ParseJSON
+// would return a dataset, and otherwise an error with exactly the text
+// ParseJSON's would have. It walks the same grammar with the same
+// decoder in check mode, which keeps the schema its row errors name but
+// allocates no cell, row or string, so its allocations do not grow with
+// the document.
+func CheckJSON(data []byte) error {
+	_, err := parse(string(data), true)
+	return err
 }
 
 // The keys of the three JSON objects, in the order WriteJSON emits them.
@@ -64,10 +71,25 @@ var (
 	columnKeys = []string{"name", "unit", "kind"}
 )
 
-// decoder is the cursor of one ParseJSON pass over the document s.
+// decoder is the cursor of one pass over the document s. A check pass
+// (CheckJSON) walks the same grammar and returns the same errors as a
+// build pass (ParseJSON), but keeps only the columns: no cell, row,
+// note or string of the document is built.
 type decoder struct {
-	s string
-	i int
+	s     string
+	i     int
+	check bool
+}
+
+// parse makes one pass over the document s, a check pass when check is
+// set.
+func parse(s string, check bool) (*Dataset, error) {
+	p := decoder{s: s, check: check}
+	d, err := p.document()
+	if err != nil {
+		return nil, fmt.Errorf("dataset: parsing JSON: %w", err)
+	}
+	return d, nil
 }
 
 func (p *decoder) errorf(format string, args ...any) error {
@@ -76,15 +98,18 @@ func (p *decoder) errorf(format string, args ...any) error {
 
 // next skips JSON whitespace and returns the byte at the cursor, 0 at the
 // end of the document (or at a NUL byte, which no caller expects).
+// WriteJSON puts every value on its own indented line, so this loop runs
+// over much of every document.
 func (p *decoder) next() byte {
-	for ; p.i < len(p.s); p.i++ {
-		switch c := p.s[p.i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return c
-		}
+	s, i := p.s, p.i
+	for i < len(s) && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' || s[i] == '\r') {
+		i++
 	}
-	return 0
+	p.i = i
+	if i == len(s) {
+		return 0
+	}
+	return s[i]
 }
 
 // expect consumes the byte c after any whitespace.
@@ -123,7 +148,7 @@ func (p *decoder) object(keys []string, field func(k int) error) error {
 		return nil
 	}
 	for k := 0; ; k++ {
-		key, err := p.str()
+		key, err := p.scan(transient)
 		if err != nil {
 			return err
 		}
@@ -165,15 +190,16 @@ func (p *decoder) array(elem func() error) error {
 }
 
 // document parses the whole input: one dataset object and nothing after
-// it but whitespace.
+// it but whitespace. A check pass returns a dataset holding only the
+// columns.
 func (p *decoder) document() (*Dataset, error) {
 	d := &Dataset{}
 	err := p.object(docKeys, func(k int) (err error) {
 		switch k {
 		case 0:
-			d.Name, err = p.str()
+			d.Name, err = p.scan(p.kept())
 		case 1:
-			d.Title, err = p.str()
+			d.Title, err = p.scan(p.kept())
 		case 2:
 			err = p.meta(&d.Meta)
 		case 3:
@@ -186,8 +212,10 @@ func (p *decoder) document() (*Dataset, error) {
 			err = p.rows(d)
 		case 5:
 			err = p.array(func() error {
-				n, err := p.str()
-				d.Notes = append(d.Notes, n)
+				n, err := p.scan(p.kept())
+				if !p.check {
+					d.Notes = append(d.Notes, n)
+				}
 				return err
 			})
 		}
@@ -206,10 +234,10 @@ func (p *decoder) meta(m *Meta) error {
 	return p.object(metaKeys, func(k int) (err error) {
 		switch k {
 		case 0:
-			m.Experiment, err = p.str()
+			m.Experiment, err = p.scan(p.kept())
 		case 1:
 			var lit string
-			if lit, err = p.num(); err == nil {
+			if lit, _, _, err = p.num(); err == nil {
 				if m.Seed, err = strconv.ParseUint(lit, 10, 64); err != nil {
 					err = p.errorf("seed %s is not a uint64", lit)
 				}
@@ -217,7 +245,7 @@ func (p *decoder) meta(m *Meta) error {
 		case 2:
 			m.Trials, err = p.integer()
 		case 3:
-			m.ConfigHash, err = p.str()
+			m.ConfigHash, err = p.scan(p.kept())
 		}
 		return err
 	})
@@ -229,12 +257,18 @@ func (p *decoder) column() (Column, error) {
 	err := p.object(columnKeys, func(k int) (err error) {
 		switch k {
 		case 0:
-			c.Name, err = p.str()
+			// A check pass reads the name too: its row errors name the
+			// column.
+			mode := copied
+			if p.check {
+				mode = transient
+			}
+			c.Name, err = p.scan(mode)
 		case 1:
-			c.Unit, err = p.str()
+			c.Unit, err = p.scan(p.kept())
 		case 2:
 			var name string
-			if name, err = p.str(); err == nil {
+			if name, err = p.scan(transient); err == nil {
 				c.Kind, err = ParseKind(name)
 				hasKind = true
 			}
@@ -247,47 +281,52 @@ func (p *decoder) column() (Column, error) {
 	return c, err
 }
 
-// rows parses the row array, each cell as its column's kind.
+// rows parses the row array, each cell as its column's kind. A check pass
+// keeps no row.
 func (p *decoder) rows(d *Dataset) error {
 	cols := d.Columns
+	ri := 0
 	return p.array(func() error {
-		row := make([]any, 0, len(cols))
+		var row []any
+		if !p.check {
+			row = make([]any, 0, len(cols))
+		}
+		n := 0
 		err := p.array(func() error {
-			ci := len(row)
-			if ci == len(cols) {
-				return p.errorf("row %d has more than %d cells", len(d.Rows), len(cols))
+			if n == len(cols) {
+				return p.errorf("row %d has more than %d cells", ri, len(cols))
 			}
-			v, err := p.cell(cols[ci].Kind)
+			v, err := p.cell(cols[n].Kind)
 			if err != nil {
-				return fmt.Errorf("row %d, column %s: %w", len(d.Rows), cols[ci].Name, err)
+				return fmt.Errorf("row %d, column %s: %w", ri, cols[n].Name, err)
 			}
-			row = append(row, v)
+			if !p.check {
+				row = append(row, v)
+			}
+			n++
 			return nil
 		})
-		if err == nil && len(row) != len(cols) {
-			err = p.errorf("row %d has %d cells, schema has %d columns", len(d.Rows), len(row), len(cols))
+		if err == nil && n != len(cols) {
+			err = p.errorf("row %d has %d cells, schema has %d columns", ri, n, len(cols))
 		}
-		d.Rows = append(d.Rows, row)
+		if !p.check {
+			d.Rows = append(d.Rows, row)
+		}
+		ri++
 		return err
 	})
 }
 
+// cell parses one cell as kind k. A check pass gets strings, ints and
+// floats back as zeros, which box without allocating, as booleans do.
 func (p *decoder) cell(k Kind) (any, error) {
 	switch k {
 	case String:
-		return p.str()
+		return p.scan(p.kept())
 	case Int:
 		return p.integer()
 	case Float:
-		lit, err := p.num()
-		if err != nil {
-			return nil, err
-		}
-		f, err := strconv.ParseFloat(lit, 64)
-		if err != nil {
-			return nil, p.errorf("%s is not a float64", lit)
-		}
-		return f, nil
+		return p.float()
 	}
 	// Bool, the last kind ParseKind admits.
 	p.next()
@@ -302,21 +341,56 @@ func (p *decoder) cell(k Kind) (any, error) {
 	return nil, p.errorf("want true or false")
 }
 
+// integer parses an int64 number; a check pass returns 0. It skips
+// strconv for a check pass's literal of at most 18 bytes with neither a
+// fraction nor an exponent: that is at most 18 digits, below
+// 10^18 < 2^63, so ParseInt could not fail on it.
 func (p *decoder) integer() (int, error) {
-	lit, err := p.num()
-	if err != nil {
+	lit, frac, exp, err := p.num()
+	switch {
+	case err != nil:
 		return 0, err
+	case p.check && !frac && !exp && len(lit) <= 18:
+		return 0, nil
 	}
 	n, err := strconv.ParseInt(lit, 10, 64)
-	if err != nil {
+	switch {
+	case err != nil:
 		return 0, p.errorf("%s is not an int64", lit)
+	case p.check:
+		return 0, nil
 	}
 	return int(n), nil
 }
 
-// num scans one JSON number and returns its literal bytes:
+// float parses a float64 number; a check pass returns 0. It skips
+// strconv for a check pass's literal with no exponent and fewer than 309
+// bytes: that has at most 308 integer digits, below
+// 10^308 < math.MaxFloat64, so it cannot overflow, and the only other
+// range error ParseFloat could report, underflow, it rounds to zero
+// without an error.
+func (p *decoder) float() (float64, error) {
+	lit, _, exp, err := p.num()
+	switch {
+	case err != nil:
+		return 0, err
+	case p.check && !exp && len(lit) < 309:
+		return 0, nil
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	switch {
+	case err != nil:
+		return 0, p.errorf("%s is not a float64", lit)
+	case p.check:
+		return 0, nil
+	}
+	return f, nil
+}
+
+// num scans one JSON number and returns its literal bytes and whether
+// it has a fraction and an exponent:
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (p *decoder) num() (string, error) {
+func (p *decoder) num() (lit string, frac, exp bool, err error) {
 	p.next()
 	start := p.i
 	if p.i < len(p.s) && p.s[p.i] == '-' {
@@ -326,13 +400,14 @@ func (p *decoder) num() (string, error) {
 	case p.i < len(p.s) && p.s[p.i] == '0':
 		p.i++
 	case !p.digits():
-		return "", p.errorf("want a number")
+		return "", false, false, p.errorf("want a number")
 	}
 	if p.i < len(p.s) && p.s[p.i] == '.' {
 		p.i++
 		if !p.digits() {
-			return "", p.errorf("want a digit after '.'")
+			return "", false, false, p.errorf("want a digit after '.'")
 		}
+		frac = true
 	}
 	if p.i < len(p.s) && (p.s[p.i] == 'e' || p.s[p.i] == 'E') {
 		p.i++
@@ -340,26 +415,52 @@ func (p *decoder) num() (string, error) {
 			p.i++
 		}
 		if !p.digits() {
-			return "", p.errorf("want a digit in the exponent")
+			return "", false, false, p.errorf("want a digit in the exponent")
 		}
+		exp = true
 	}
-	return p.s[start:p.i], nil
+	return p.s[start:p.i], frac, exp, nil
 }
 
 // digits consumes a run of decimal digits and reports whether it was
 // non-empty.
 func (p *decoder) digits() bool {
-	start := p.i
-	for p.i < len(p.s) && '0' <= p.s[p.i] && p.s[p.i] <= '9' {
-		p.i++
+	s, i := p.s, p.i
+	for i < len(s) && s[i]-'0' <= 9 {
+		i++
 	}
-	return p.i > start
+	start := p.i
+	p.i = i
+	return i > start
 }
 
-// str parses one JSON string into a new string. A string without escapes
-// is copied out of the document rather than sliced from it: a slice would
-// keep the whole document alive for as long as any of its cells lives.
-func (p *decoder) str() (string, error) {
+// What scan makes of a string.
+type strMode int
+
+const (
+	// copied strings are new: a string the dataset keeps is copied out
+	// of the document rather than sliced from it, since a slice would
+	// keep the whole document alive for as long as any of its cells
+	// lives.
+	copied strMode = iota
+	// transient strings are slices of the document unless they hold an
+	// escape: keys, kinds and other strings the pass only reads.
+	transient
+	// skipped strings are only validated, and scan returns "".
+	skipped
+)
+
+// kept is the mode of a string the dataset keeps: copied in a build
+// pass, skipped in a check pass.
+func (p *decoder) kept() strMode {
+	if p.check {
+		return skipped
+	}
+	return copied
+}
+
+// scan parses one JSON string in the given mode.
+func (p *decoder) scan(mode strMode) (string, error) {
 	if err := p.expect('"'); err != nil {
 		return "", err
 	}
@@ -370,14 +471,23 @@ func (p *decoder) str() (string, error) {
 		case c == '"':
 			s := p.s[run:p.i]
 			p.i++
-			if buf == nil {
-				return strings.Clone(s), nil
+			switch {
+			case mode == skipped:
+				return "", nil
+			case buf != nil:
+				return string(append(buf, s...)), nil
+			case mode == transient:
+				return s, nil
 			}
-			return string(append(buf, s...)), nil
+			return strings.Clone(s), nil
 		case c == '\\':
-			var err error
-			if buf, err = p.escape(append(buf, p.s[run:p.i]...)); err != nil {
+			end := p.i
+			r, err := p.escape()
+			if err != nil {
 				return "", err
+			}
+			if mode != skipped {
+				buf = utf8.AppendRune(append(buf, p.s[run:end]...), r)
 			}
 			run = p.i
 		case c < 0x20:
@@ -395,19 +505,18 @@ func (p *decoder) str() (string, error) {
 	return "", p.errorf("unterminated string")
 }
 
-// escape decodes the escape sequence at the cursor onto buf, which it
-// leaves non-nil.
-func (p *decoder) escape(buf []byte) ([]byte, error) {
+// escape decodes the escape sequence at the cursor.
+func (p *decoder) escape() (rune, error) {
 	if p.i+1 >= len(p.s) {
-		return nil, p.errorf("unterminated string")
+		return 0, p.errorf("unterminated string")
 	}
 	c := p.s[p.i+1]
 	p.i += 2
 	if k := strings.IndexByte(`"\/bfnrt`, c); k >= 0 {
-		return append(buf, "\"\\/\b\f\n\r\t"[k]), nil
+		return rune("\"\\/\b\f\n\r\t"[k]), nil
 	}
 	if c != 'u' {
-		return nil, p.errorf("invalid escape \\%c", c)
+		return 0, p.errorf("invalid escape \\%c", c)
 	}
 	hex := ""
 	if p.i+4 <= len(p.s) {
@@ -415,12 +524,12 @@ func (p *decoder) escape(buf []byte) ([]byte, error) {
 	}
 	r, err := strconv.ParseUint(hex, 16, 32)
 	if err != nil {
-		return nil, p.errorf("want four hex digits after \\u")
+		return 0, p.errorf("want four hex digits after \\u")
 	}
 	if utf16.IsSurrogate(rune(r)) {
 		// WriteJSON writes every rune beyond the BMP as UTF-8.
-		return nil, p.errorf("surrogate escape \\u%s", hex)
+		return 0, p.errorf("surrogate escape \\u%s", hex)
 	}
 	p.i += 4
-	return utf8.AppendRune(buf, rune(r)), nil
+	return rune(r), nil
 }

@@ -138,6 +138,17 @@ func datasetDiff(a, b *Dataset) string {
 	return ""
 }
 
+// checkAgrees fails unless CheckJSON gives ParseJSON's verdict on data:
+// nil when ParseJSON decodes it, and otherwise an error of identical text.
+func checkAgrees(t *testing.T, data []byte) {
+	t.Helper()
+	_, err := ParseJSON(bytes.NewReader(data))
+	cerr := CheckJSON(data)
+	if (cerr == nil) != (err == nil) || (err != nil && cerr.Error() != err.Error()) {
+		t.Fatalf("CheckJSON = %v, ParseJSON = %v\n%q", cerr, err, data)
+	}
+}
+
 // TestParseJSONRoundTrips pins the inverse the cluster peer protocol
 // relies on: WriteJSON → ParseJSON reproduces the dataset — schema,
 // rows with their exact Go cell types, notes, metadata — and the
@@ -223,6 +234,7 @@ func TestParseJSONMatchesReference(t *testing.T) {
 			if diff := datasetDiff(got, ref); diff != "" {
 				t.Errorf("ParseJSON and the reference differ: %s", diff)
 			}
+			checkAgrees(t, raw)
 			again, err := got.JSON()
 			if err != nil {
 				t.Fatal(err)
@@ -301,6 +313,7 @@ func TestParseJSONRejects(t *testing.T) {
 			if _, err := ParseJSON(strings.NewReader(tc.doc)); err == nil {
 				t.Errorf("ParseJSON accepted %s", tc.doc)
 			}
+			checkAgrees(t, []byte(tc.doc))
 		})
 	}
 }
@@ -326,7 +339,10 @@ func TestParseKind(t *testing.T) {
 //   - the reference accepts it too, with an equal dataset;
 //   - for any input the reference accepts, ParseJSON accepts the
 //     WriteJSON bytes of the reference's dataset and decodes them to an
-//     equal one, so the stricter grammar still covers every dataset.
+//     equal one, so the stricter grammar still covers every dataset;
+//   - CheckJSON accepts exactly what ParseJSON accepts and otherwise
+//     fails with ParseJSON's error text, so the resume probe and the
+//     paging decode can never disagree about a checkpoint.
 func FuzzParseJSON(f *testing.F) {
 	raw, err := sample().JSON()
 	if err != nil {
@@ -339,7 +355,21 @@ func FuzzParseJSON(f *testing.F) {
 	f.Add([]byte(`{"nAme":"0"}`))
 	f.Add([]byte(`{"name":"","columns":[{}]}`))
 	f.Add([]byte(`{"name":"😀<","meta":{"seed":18446744073709551615,"trials":-1},"columns":[{"name":"b","unit":"V","kind":"bool"},{"name":"s","kind":"string"}],"rows":[[true,"\t"],[false,""]]}`))
+	// The edges of CheckJSON's strconv-free fast paths: an exponent
+	// that overflows, 309 and 308 integer digits without an exponent (and
+	// 308 with a fraction, 310 bytes), ints of 19 digits and of 18 bytes,
+	// and a fraction in an int column. The float column's name holds an
+	// escape, so both passes' row errors must name it decoded.
+	const floatCol = `{"name":"x","columns":[{"name":"a\u00e9","kind":"float"}],"rows":[[`
+	const intCol = `{"name":"x","columns":[{"name":"a","kind":"int"}],"rows":[[`
+	for _, cell := range []string{`1e400`, strings.Repeat("9", 309), strings.Repeat("9", 308), strings.Repeat("9", 308) + ".5"} {
+		f.Add([]byte(floatCol + cell + `]]}`))
+	}
+	for _, cell := range []string{`9999999999999999999`, `9223372036854775807`, `-99999999999999999`, `1.0`} {
+		f.Add([]byte(intCol + cell + `]]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgrees(t, data)
 		ref, refErr := referenceParseJSON(bytes.NewReader(data))
 		if refErr == nil {
 			enc, err := ref.JSON()
@@ -385,17 +415,18 @@ func FuzzParseJSON(f *testing.F) {
 // chunkSink keeps the benchmarked decode from being optimized away.
 var chunkSink *Dataset
 
-// BenchmarkParseJSON decodes a 32-row, 12-column document shaped like a
-// sweep chunk checkpoint (one string, five int and six float columns,
-// floats at full precision), with ParseJSON and with the reference.
-func BenchmarkParseJSON(b *testing.B) {
+// chunkDoc is a document shaped like a sweep chunk checkpoint: rows rows
+// of one string, five int and six float columns, floats at full
+// precision.
+func chunkDoc(tb testing.TB, rows int) []byte {
+	tb.Helper()
 	ds := New("sweep", "Design-space sweep (tidy long format)",
 		Col("code", String), Col("length", Int), ColUnit("sigmaT_V", "V", Float),
 		Col("marginFactor", Float), Col("halfCaveWires", Int), Col("spaceSize", Int),
 		Col("contactGroups", Int), Col("phi", Int), ColUnit("avgVariability_V2", "V²", Float),
 		Col("yield", Float), Col("effectiveBits", Float), ColUnit("bitArea_nm2", "nm²", Float))
 	codes := []string{"tc", "gc", "bgc", "hc", "ahc"}
-	for i := 0; i < 32; i++ {
+	for i := 0; i < rows; i++ {
 		x := float64(i + 1)
 		ds.AddRow(codes[i%len(codes)], 4+2*(i%5), 0.03+x/997, 1+x/31,
 			10+i, 1<<(4+i%5), 1+i%3, 40+7*i, math.Sqrt(x)/1e3, 1/(1+x/7),
@@ -403,8 +434,31 @@ func BenchmarkParseJSON(b *testing.B) {
 	}
 	raw, err := ds.JSON()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return raw
+}
+
+// TestCheckJSONAllocsFlat: CheckJSON builds no row, cell or string, so a
+// document of 64 rows costs it no more allocations than one of 2.
+func TestCheckJSONAllocsFlat(t *testing.T) {
+	small, large := chunkDoc(t, 2), chunkDoc(t, 64)
+	allocs := func(doc []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := CheckJSON(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); b > a {
+		t.Errorf("CheckJSON makes %v allocations for 2 rows and %v for 64", a, b)
+	}
+}
+
+// BenchmarkParseJSON decodes a 32-row chunk document (chunkDoc, 8.0 KB)
+// with ParseJSON and with the reference.
+func BenchmarkParseJSON(b *testing.B) {
+	raw := chunkDoc(b, 32)
 	for _, dec := range []struct {
 		name  string
 		parse func(io.Reader) (*Dataset, error)
@@ -423,5 +477,18 @@ func BenchmarkParseJSON(b *testing.B) {
 				chunkSink = d
 			}
 		})
+	}
+}
+
+// BenchmarkCheckJSON validates the BenchmarkParseJSON document without
+// building it, as the resume probe does.
+func BenchmarkCheckJSON(b *testing.B) {
+	raw := chunkDoc(b, 32)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	for i := 0; i < b.N; i++ {
+		if err := CheckJSON(raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

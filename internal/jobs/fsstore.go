@@ -122,6 +122,33 @@ func (f *FSStore) PutChunk(id string, idx int, ds *dataset.Dataset) error {
 
 // GetChunk loads one checkpointed chunk dataset.
 func (f *FSStore) GetChunk(id string, idx int) (*dataset.Dataset, error) {
+	data, err := f.readChunk(id, idx)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := dataset.ParseJSON(bytes.NewReader(data))
+	if err != nil {
+		return nil, corrupted(id, idx, err)
+	}
+	return ds, nil
+}
+
+// CheckChunk validates one checkpoint with dataset.CheckJSON, which
+// accepts exactly what GetChunk's ParseJSON accepts without building the
+// dataset.
+func (f *FSStore) CheckChunk(id string, idx int) error {
+	data, err := f.readChunk(id, idx)
+	if err != nil {
+		return err
+	}
+	if err := dataset.CheckJSON(data); err != nil {
+		return corrupted(id, idx, err)
+	}
+	return nil
+}
+
+// readChunk reads one checkpoint file; a missing file is NotFound-class.
+func (f *FSStore) readChunk(id string, idx int) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(f.jobDir(id), chunkFile(idx)))
 	if os.IsNotExist(err) {
 		return nil, nwerr.NotFoundf("jobs: job %q has no chunk %d", id, idx)
@@ -129,14 +156,14 @@ func (f *FSStore) GetChunk(id string, idx int) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: reading chunk %d of %s: %w", idx, id, err)
 	}
-	ds, err := dataset.ParseJSON(bytes.NewReader(data))
-	if err != nil {
-		// A chunk file that exists but does not parse is a damaged
-		// checkpoint, not a programming error: wrap ErrCorrupt so the
-		// Runner treats it as missing and recomputes the chunk.
-		return nil, fmt.Errorf("jobs: chunk %d of %s: %w: %v", idx, id, ErrCorrupt, err)
-	}
-	return ds, nil
+	return data, nil
+}
+
+// corrupted classifies a checkpoint that exists but does not parse. It
+// is a damaged checkpoint, not a programming error: wrapping ErrCorrupt
+// makes the Runner treat it as missing and recompute the chunk.
+func corrupted(id string, idx int, err error) error {
+	return fmt.Errorf("jobs: chunk %d of %s: %w: %v", idx, id, ErrCorrupt, err)
 }
 
 // Chunks scans the job directory for checkpoint files and returns their

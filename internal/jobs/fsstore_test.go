@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nwdec/internal/core"
+	"nwdec/internal/dataset"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/obs"
 	"nwdec/internal/sweep"
@@ -122,6 +123,109 @@ func TestResumeRecomputesCorruptChunk(t *testing.T) {
 	if string(got) != string(want) {
 		t.Error("recovered dataset differs from undamaged sweep output")
 	}
+}
+
+// getCounter exposes only Store's methods of the store it wraps, as a
+// decorator written against Store does, and counts GetChunk calls.
+type getCounter struct {
+	Store
+	gets int
+}
+
+func (g *getCounter) GetChunk(id string, idx int) (*dataset.Dataset, error) {
+	g.gets++
+	return g.Store.GetChunk(id, idx)
+}
+
+// TestResumeProbeFallback: over a store without CheckChunk the resume
+// probe loads each chunk with GetChunk instead, and resume keeps its
+// contract: a complete job resumes computing nothing, a torn chunk is
+// recomputed, and the output stays byte-identical.
+func TestResumeProbeFallback(t *testing.T) {
+	spec := testSpec()
+	want := sweepJSON(t, spec)
+	root := t.TempDir()
+	fs, err := NewFSStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seed := runToCompletion(t, ctx, fs, spec)
+	for _, tc := range []struct {
+		name     string
+		computed int
+	}{
+		{"complete", 0},
+		{"torn", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.computed > 0 {
+				corruptChunk(t, root, seed.ID, 3, []byte(`{"name":"sweep","rows":[[`))
+			}
+			store := &getCounter{Store: fs}
+			if _, ok := Store(store).(CheckStore); ok {
+				t.Fatal("the wrapper must hide CheckChunk")
+			}
+			r := NewRunner(store, Options{})
+			defer r.Close()
+			st, err := r.Resume(ctx, seed.ID)
+			if err == nil {
+				st, err = r.Wait(ctx, st.ID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateComplete || st.Computed != tc.computed || st.Resumed != st.Chunks-tc.computed {
+				t.Errorf("resume ended %s, computed %d and resumed %d of %d chunks, want %d computed",
+					st.State, st.Computed, st.Resumed, st.Chunks, tc.computed)
+			}
+			if store.gets != st.Chunks {
+				t.Errorf("the probe made %d GetChunk calls, want one per chunk (%d)", store.gets, st.Chunks)
+			}
+			page, err := r.Results(st.ID, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := page.Dataset.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("resumed dataset differs from the sweep output")
+			}
+		})
+	}
+}
+
+// TestMemoryStoreCheckChunk: the in-memory probe answers as GetChunk
+// does, nil for a checkpointed chunk and NotFound-class otherwise.
+func TestMemoryStoreCheckChunk(t *testing.T) {
+	m := NewMemoryStore()
+	st := runToCompletion(t, context.Background(), m, testSpec())
+	for _, idx := range []int{0, st.Chunks - 1, st.Chunks} {
+		_, gerr := m.GetChunk(st.ID, idx)
+		cerr := m.CheckChunk(st.ID, idx)
+		if chunkOutcome(cerr) != chunkOutcome(gerr) || (gerr != nil && cerr.Error() != gerr.Error()) {
+			t.Errorf("chunk %d: CheckChunk = %v, GetChunk = %v", idx, cerr, gerr)
+		}
+	}
+	if err := m.CheckChunk("j-unknown", 0); !nwerr.IsNotFound(err) {
+		t.Errorf("CheckChunk of an unknown job = %v, want NotFound-class", err)
+	}
+}
+
+// chunkOutcome is the class of a chunk read the runner's probe branches
+// on.
+func chunkOutcome(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case nwerr.IsNotFound(err):
+		return "NotFound"
+	case errors.Is(err, ErrCorrupt):
+		return "ErrCorrupt"
+	}
+	return "other"
 }
 
 // TestResumeRejectsMismatchedSpec: a spec.json that derives another job
@@ -351,6 +455,9 @@ func FuzzChunkJSON(f *testing.F) {
 			t.Fatal(err)
 		}
 		ds, err := fs.GetChunk(id, 0)
+		if cerr := fs.CheckChunk(id, 0); chunkOutcome(cerr) != chunkOutcome(err) || (err != nil && cerr.Error() != err.Error()) {
+			t.Fatalf("CheckChunk = %v, GetChunk = %v\n%q", cerr, err, data)
+		}
 		if err != nil {
 			if ds != nil {
 				t.Fatalf("GetChunk returned both a dataset and %v", err)

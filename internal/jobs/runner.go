@@ -210,7 +210,7 @@ func (r *Runner) run(ctx context.Context, j *job, points []sweep.Point, chunks [
 				return cerr
 			}
 			corrupt := false
-			switch _, err := r.store.GetChunk(id, i); {
+			switch err := r.probe(id, i); {
 			case err == nil:
 				if err := r.store.DeleteLease(id, i); err != nil {
 					return err
@@ -256,6 +256,18 @@ func (r *Runner) run(ctx context.Context, j *job, points []sweep.Point, chunks [
 		return nil
 	}()
 	r.finish(j, err, reg)
+}
+
+// probe reports whether chunk idx of the job is checkpointed and intact:
+// nil, NotFound-class or ErrCorrupt-wrapped. A CheckStore validates the
+// checkpoint without building it; any other store builds it with
+// GetChunk, and the dataset is dropped.
+func (r *Runner) probe(id string, idx int) error {
+	if cs, ok := r.store.(CheckStore); ok {
+		return cs.CheckChunk(id, idx)
+	}
+	_, err := r.store.GetChunk(id, idx)
+	return err
 }
 
 // advance applies one status mutation under the runner lock.

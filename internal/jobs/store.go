@@ -67,6 +67,20 @@ type AgeStore interface {
 	ModTime(id string) (time.Time, error)
 }
 
+// CheckStore is the optional Store extension the resume probe uses: it
+// validates a checkpoint without building its dataset. The runner only
+// needs to learn that a chunk exists and is intact before it skips the
+// chunk; the dataset itself is built when Results pages it. A store
+// without the extension is probed with GetChunk, whose dataset is then
+// dropped.
+type CheckStore interface {
+	// CheckChunk returns nil, a NotFound-class error or an
+	// ErrCorrupt-wrapped error, in exactly the cases where GetChunk
+	// returns a dataset, a NotFound-class error or an ErrCorrupt-wrapped
+	// error.
+	CheckChunk(id string, idx int) error
+}
+
 // MemoryStore is the in-process Store: checkpoints live exactly as long
 // as the process, so it provides asynchrony and incremental results but
 // not kill/restart durability.
@@ -130,6 +144,17 @@ func (m *MemoryStore) GetChunk(id string, idx int) (*dataset.Dataset, error) {
 		return nil, nwerr.NotFoundf("jobs: job %q has no chunk %d", id, idx)
 	}
 	return ds.Clone(), nil
+}
+
+// CheckChunk reports whether the chunk is checkpointed, without the clone
+// GetChunk makes.
+func (m *MemoryStore) CheckChunk(id string, idx int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.chunks[id][idx]; !ok {
+		return nwerr.NotFoundf("jobs: job %q has no chunk %d", id, idx)
+	}
+	return nil
 }
 
 // Chunks returns the checkpointed chunk indices in ascending order.

@@ -9,9 +9,10 @@ import (
 
 // ErrCheck enforces error discipline: no error result silently
 // discarded — neither by a bare call statement nor a blank assignment —
-// and no fmt.Errorf that carries an error argument without wrapping it
-// with %w (unwrapped causes break errors.Is chains like the
-// ErrCountExceedsSpace checks).
+// and no fmt.Errorf, or nwerr printf constructor (Invalidf, Internalf,
+// Overloadf, NotFoundf: they hand their format to fmt.Errorf), that
+// carries an error argument without wrapping it with %w (unwrapped causes
+// break errors.Is chains like the ErrCountExceedsSpace checks).
 //
 // Calls whose failure is meaningless or impossible are exempt: fmt
 // printing to the console (printbound owns where that is legal, and a
@@ -19,7 +20,7 @@ import (
 // strings.Builder, bytes.Buffer or hash, which never return an error.
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
-	Doc:  "no discarded error results; fmt.Errorf wraps its error cause with %w",
+	Doc:  "no discarded error results; fmt.Errorf and the nwerr printf constructors wrap their error cause with %w",
 	Run:  runErrCheck,
 }
 
@@ -91,11 +92,11 @@ func checkBlankAssign(p *Pass, as *ast.AssignStmt) {
 	}
 }
 
-// checkErrorfWrap reports fmt.Errorf calls that format an error cause
-// without the %w wrapping verb.
+// checkErrorfWrap reports calls of a printf-style error constructor
+// that format an error cause without the %w wrapping verb.
 func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(p, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
+	if fn == nil || !isErrorf(p, fn) {
 		return
 	}
 	if len(call.Args) < 2 {
@@ -110,10 +111,27 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args[1:] {
 		if isErrorType(p.Info.TypeOf(arg)) {
-			p.Reportf(call.Pos(), "fmt.Errorf formats an error cause without %%w; wrap it so errors.Is/As keep working")
+			p.Reportf(call.Pos(), "%s.%s formats an error cause without %%w; wrap it so errors.Is/As keep working", fn.Pkg().Name(), fn.Name())
 			return
 		}
 	}
+}
+
+// isErrorf reports whether fn builds an error from a printf format:
+// fmt.Errorf, or one of the nwerr constructors that pass their format
+// to it.
+func isErrorf(p *Pass, fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	if fn.Pkg().Path() == "fmt" {
+		return fn.Name() == "Errorf"
+	}
+	switch fn.Name() {
+	case "Invalidf", "Internalf", "Overloadf", "NotFoundf":
+		return p.Cfg.rel(fn.Pkg().Path()) == "internal/nwerr"
+	}
+	return false
 }
 
 // isBlank reports whether expr is the blank identifier.

@@ -138,7 +138,9 @@ type Point struct {
 // list into chunks and address each chunk by index across restarts.
 func (g Grid) Points(base core.Config) []Point {
 	g = g.withDefaults()
-	var points []Point
+	// The full product bounds the valid points, so the slice is
+	// allocated once instead of regrown as it fills.
+	points := make([]Point, 0, g.Size())
 	for _, tp := range g.Types {
 		for _, m := range g.Lengths {
 			for _, sigma := range g.SigmaTs {
