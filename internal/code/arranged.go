@@ -24,7 +24,7 @@ type ArrangedHot struct {
 	SearchBudget int
 
 	mu    sync.Mutex
-	cache map[int][]Word
+	cache map[int][]byte // count -> the searched words, flat
 }
 
 // NewArrangedHot returns the arranged hot code with word length M over the
@@ -37,7 +37,7 @@ func NewArrangedHot(base, length int) (*ArrangedHot, error) {
 	return &ArrangedHot{
 		hot:          h,
 		SearchBudget: DefaultBGCSearchBudget,
-		cache:        make(map[int][]Word),
+		cache:        make(map[int][]byte),
 	}, nil
 }
 
@@ -70,103 +70,117 @@ func (a *ArrangedHot) Sequence(count int) ([]Word, error) {
 	// the parallel sweep drivers (which share generators through Cached).
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if cached, ok := a.cache[count]; ok {
-		return cloneWords(cached), nil
+	rows, ok := a.cache[count]
+	if !ok {
+		rows = a.search(count)
+		a.cache[count] = rows
 	}
-	words := a.search(count)
-	a.cache[count] = words
-	return cloneWords(words), nil
+	return wordsOf(rows, a.hot.length, a.hot.base, false), nil
 }
 
 // search finds count distinct hot-code words where successive words differ
-// by exactly one transposition. It falls back to the lexicographic hot-code
-// order if the budgeted search fails (which does not happen for the spaces
-// the paper considers; the fallback keeps the API total).
-func (a *ArrangedHot) search(count int) []Word {
+// by exactly one transposition, returned as flat rows of M digits. It
+// falls back to the lexicographic hot-code order if the budgeted search
+// fails (which does not happen for the spaces the paper considers; the
+// fallback keeps the API total).
+func (a *ArrangedHot) search(count int) []byte {
 	if count == 0 {
 		return nil
 	}
 	// Canonical start: the lexicographically smallest word 0^k 1^k ... .
-	start := make(Word, a.hot.length)
+	start := make([]byte, a.hot.length)
 	for i := range start {
-		start[i] = i / a.hot.k
+		start[i] = byte(i / a.hot.k)
 	}
+	path := newPathSet(a.hot.base, start, count)
 	if count == 1 {
-		return []Word{start}
+		return path.rows
 	}
 	s := &ahcSearch{
-		hot:     a.hot,
-		count:   count,
-		budget:  a.SearchBudget,
-		visited: map[string]bool{start.Key(): true},
-		usage:   make([]int, a.hot.length),
-		path:    []Word{start},
+		count:  count,
+		budget: a.SearchBudget,
+		usage:  make([]int, a.hot.length),
+		path:   path,
 	}
-	if s.dfs() {
-		return s.path
+	if s.dfs(1) {
+		return path.rows
 	}
 	words, err := a.hot.Sequence(count)
 	if err != nil {
 		// count was validated against the space size already.
 		panic("code: hot fallback failed: " + err.Error())
 	}
-	return words
+	for i, w := range words {
+		for j, d := range w {
+			path.rows[i*a.hot.length+j] = byte(d)
+		}
+	}
+	return path.rows
 }
 
 type ahcSearch struct {
-	hot     *Hot
-	count   int
-	budget  int
-	visited map[string]bool
-	usage   []int // how often each position changed so far
-	path    []Word
+	count  int
+	budget int
+	usage  []int     // how often each position changed so far
+	moves  []ahcMove // stack of the candidate moves of the nodes on the path
+	path   *pathSet
 }
 
-func (s *ahcSearch) dfs() bool {
-	if len(s.path) == s.count {
+// ahcMove swaps the digits at positions i < j; cost is their combined
+// usage when the node listed the move.
+type ahcMove struct{ i, j, cost int32 }
+
+// dfs extends the path, which holds n words, to s.count words.
+func (s *ahcSearch) dfs(n int) bool {
+	if n == s.count {
 		return true
 	}
 	if s.budget <= 0 {
 		return false
 	}
 	s.budget--
-	cur := s.path[len(s.path)-1]
+	p, usage := s.path, s.usage
+	cur, next := p.row(n-1), p.row(n)
+	copy(next, cur)
+	key := p.keys[n-1]
 	// Candidate moves: swap the values at two positions holding different
 	// digits. Prefer position pairs with the lowest combined usage so the
-	// transitions spread across columns.
-	type move struct{ i, j, cost int }
-	var moves []move
+	// transitions spread across columns. The node pushes its moves on
+	// s.moves and pops them before returning false; its children push
+	// above them, so they stay intact in moves even if append moves the
+	// stack.
+	lo := len(s.moves)
 	for i := 0; i < len(cur); i++ {
 		for j := i + 1; j < len(cur); j++ {
 			if cur[i] != cur[j] {
-				moves = append(moves, move{i, j, s.usage[i] + s.usage[j]})
+				s.moves = append(s.moves, ahcMove{int32(i), int32(j), int32(usage[i] + usage[j])})
 			}
 		}
 	}
+	moves := s.moves[lo:]
 	// Stable insertion sort by cost keeps the search deterministic.
 	for i := 1; i < len(moves); i++ {
 		for k := i; k > 0 && moves[k].cost < moves[k-1].cost; k-- {
 			moves[k], moves[k-1] = moves[k-1], moves[k]
 		}
 	}
-	for _, m := range moves {
-		cur[m.i], cur[m.j] = cur[m.j], cur[m.i]
-		key := cur.Key()
-		if !s.visited[key] {
-			s.visited[key] = true
-			s.usage[m.i]++
-			s.usage[m.j]++
-			s.path = append(s.path, cur.Clone())
-			if s.dfs() {
-				cur[m.i], cur[m.j] = cur[m.j], cur[m.i]
+	for _, mv := range moves {
+		i, j := int(mv.i), int(mv.j)
+		next[i], next[j] = next[j], next[i]
+		mkey := p.swapKey(key, i, j, cur[i], cur[j])
+		if slot, seen := p.find(n, mkey); !seen {
+			p.add(slot, n, mkey)
+			usage[i]++
+			usage[j]++
+			if s.dfs(n + 1) {
 				return true
 			}
-			s.path = s.path[:len(s.path)-1]
-			s.usage[m.i]--
-			s.usage[m.j]--
-			delete(s.visited, key)
+			usage[i]--
+			usage[j]--
+			p.drop(slot)
 		}
-		cur[m.i], cur[m.j] = cur[m.j], cur[m.i]
+		next[i], next[j] = next[j], next[i]
 	}
+	s.moves = s.moves[:lo]
 	return false
 }

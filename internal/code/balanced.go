@@ -16,27 +16,31 @@ import (
 // The arrangement is found by deterministic backtracking over the Hamming
 // graph of the code space with an iteratively deepened per-digit change cap,
 // starting at the information-theoretic minimum ceil((count-1)/(M/2)). When
-// the search budget is exhausted the generator degrades gracefully to the
-// plain Gray arrangement, so Sequence never fails for feasible counts.
+// the search budget runs out at every cap it tries, the generator degrades
+// gracefully to the plain Gray arrangement, so Sequence never fails for
+// feasible counts.
 type BalancedGray struct {
 	base   int
 	length int
 
 	// DigitChangeTarget is the preferred per-digit change cap; the paper
-	// sets it to 2. The search starts at the feasibility minimum and stops
-	// deepening once a sequence within max(target, minimum) is found.
+	// sets it to 2. The search starts at the feasibility minimum, takes the
+	// first cap that succeeds, and stops deepening after failing at a cap
+	// of at least max(target, minimum+2).
 	DigitChangeTarget int
 
 	// SearchBudget bounds the number of DFS nodes explored per cap level.
 	SearchBudget int
 
 	mu    sync.Mutex
-	cache map[int][]Word
+	cache map[int][]byte // count -> the searched base words, flat
 }
 
 // DefaultBGCSearchBudget is the per-cap node budget of the backtracking
-// search. The sequences needed by the paper's experiments (count <= 64,
-// M <= 12) resolve within a tiny fraction of it.
+// search. Most sequences the paper's experiments need (count <= 64,
+// M <= 12) resolve within a tiny fraction of it; the scaling experiment's
+// binary M = 10, N = 26 arrangement spends all of it at cap 5 before
+// cap 6 succeeds.
 const DefaultBGCSearchBudget = 2_000_000
 
 // NewBalancedGray returns the balanced Gray arrangement with total
@@ -53,7 +57,7 @@ func NewBalancedGray(base, length int) (*BalancedGray, error) {
 		length:            length,
 		DigitChangeTarget: 2,
 		SearchBudget:      DefaultBGCSearchBudget,
-		cache:             make(map[int][]Word),
+		cache:             make(map[int][]byte),
 	}, nil
 }
 
@@ -85,44 +89,42 @@ func (b *BalancedGray) Sequence(count int) ([]Word, error) {
 	// the parallel sweep drivers (which share generators through Cached).
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if cached, ok := b.cache[count]; ok {
-		return cloneWords(cached), nil
+	rows, ok := b.cache[count]
+	if !ok {
+		rows = b.searchBase(count)
+		b.cache[count] = rows
 	}
-	baseWords := b.searchBase(count)
-	words := make([]Word, count)
-	for i, w := range baseWords {
-		words[i] = w.Reflect(b.base)
-	}
-	b.cache[count] = words
-	return cloneWords(words), nil
+	return wordsOf(rows, b.BaseLength(), b.base, true), nil
 }
 
 // searchBase finds count distinct base words forming a Gray path with the
-// smallest achievable maximum per-digit change count.
-func (b *BalancedGray) searchBase(count int) []Word {
+// smallest achievable maximum per-digit change count, returned as flat
+// rows of M/2 digits.
+func (b *BalancedGray) searchBase(count int) []byte {
 	l := b.BaseLength()
 	if count == 0 {
 		return nil
 	}
-	start := make(Word, l)
+	path := newPathSet(b.base, make([]byte, l), count)
 	if count == 1 {
-		return []Word{start}
+		return path.rows
+	}
+	s := &bgcSearch{
+		base:  b.base,
+		l:     l,
+		count: count,
+		usage: make([]int, l),
+		order: make([]int32, (count-1)*l),
+		path:  path,
 	}
 	minCap := (count - 2 + l) / l // ceil((count-1)/l)
 	maxCap := count - 1
 	for c := minCap; c <= maxCap; c++ {
-		s := &bgcSearch{
-			base:    b.base,
-			l:       l,
-			count:   count,
-			perDig:  c,
-			budget:  b.SearchBudget,
-			visited: map[string]bool{start.Key(): true},
-			usage:   make([]int, l),
-			path:    []Word{start},
-		}
-		if s.dfs() {
-			return s.path
+		// A failed level backtracks all the way, leaving only the start
+		// word on the path and every usage at zero for the next one.
+		s.perDig, s.budget = c, b.SearchBudget
+		if s.dfs(1) {
+			return path.rows
 		}
 		if c >= b.DigitChangeTarget && c >= minCap+2 {
 			// Deepening further trades balance for search time with no
@@ -132,79 +134,94 @@ func (b *BalancedGray) searchBase(count int) []Word {
 	}
 	// Fallback: plain Gray arrangement (always a valid Gray path).
 	g := &Gray{base: b.base, length: b.length}
-	out := make([]Word, count)
-	for i := range out {
-		out[i] = g.BaseWord(i)
+	for i := 0; i < count; i++ {
+		for j, d := range g.BaseWord(i) {
+			path.rows[i*l+j] = byte(d)
+		}
 	}
-	return out
+	return path.rows
 }
 
 type bgcSearch struct {
-	base    int
-	l       int
-	count   int
-	perDig  int // max allowed changes per digit position
-	budget  int
-	visited map[string]bool
-	usage   []int // per-digit change counts so far
-	path    []Word
+	base   int
+	l      int
+	count  int
+	perDig int // max allowed changes per digit position
+	budget int
+	usage  []int   // per-digit change counts so far
+	order  []int32 // the node holding n path words orders digits in order[(n-1)*l : n*l]
+	path   *pathSet
 }
 
-func (s *bgcSearch) dfs() bool {
-	if len(s.path) == s.count {
+// dfs extends the path, which holds n words, to s.count words.
+func (s *bgcSearch) dfs(n int) bool {
+	if n == s.count {
 		return true
 	}
 	if s.budget <= 0 {
 		return false
 	}
 	s.budget--
-	cur := s.path[len(s.path)-1]
+	p, usage := s.path, s.usage
+	cur, next := p.row(n-1), p.row(n)
+	copy(next, cur)
+	key := p.keys[n-1]
 	// Visit digits with the lowest usage first so balance emerges greedily;
 	// ties break on digit index, then value, keeping the search
-	// deterministic.
-	order := digitOrder(s.usage)
+	// deterministic (the insertion sort is stable).
+	order := s.order[(n-1)*s.l : n*s.l]
+	for j := range order {
+		k := j
+		for ; k > 0 && usage[order[k-1]] > usage[j]; k-- {
+			order[k] = order[k-1]
+		}
+		order[k] = int32(j)
+	}
 	for _, j := range order {
-		if s.usage[j] >= s.perDig {
+		if usage[j] >= s.perDig {
 			continue
 		}
 		old := cur[j]
-		for v := 0; v < s.base; v++ {
+		for v := byte(0); int(v) < s.base; v++ {
 			if v == old {
 				continue
 			}
-			cur[j] = v
-			key := cur.Key()
-			if !s.visited[key] {
-				s.visited[key] = true
-				s.usage[j]++
-				s.path = append(s.path, cur.Clone())
-				if s.dfs() {
-					cur[j] = old
+			next[j] = v
+			vkey := p.setKey(key, int(j), old, v)
+			if slot, seen := p.find(n, vkey); !seen {
+				p.add(slot, n, vkey)
+				usage[j]++
+				if s.dfs(n + 1) {
 					return true
 				}
-				s.path = s.path[:len(s.path)-1]
-				s.usage[j]--
-				delete(s.visited, key)
+				usage[j]--
+				p.drop(slot)
 			}
 		}
-		cur[j] = old
+		next[j] = old
 	}
 	return false
 }
 
-// digitOrder returns digit indices sorted by ascending usage (stable on
-// index). Insertion sort keeps it allocation-light for the tiny l involved.
-func digitOrder(usage []int) []int {
-	order := make([]int, len(usage))
-	for i := range order {
-		order[i] = i
+// wordsOf returns the words stored flat in rows, width digits each, backed
+// by one array. With reflect set, each word is followed by its
+// (base-1)-complement, as Word.Reflect appends it.
+func wordsOf(rows []byte, width, base int, reflect bool) []Word {
+	size := width
+	if reflect {
+		size *= 2
 	}
-	for i := 1; i < len(order); i++ {
-		for k := i; k > 0 && usage[order[k]] < usage[order[k-1]]; k-- {
-			order[k], order[k-1] = order[k-1], order[k]
+	words := make([]Word, len(rows)/width)
+	flat := make([]int, len(words)*size)
+	for i := range words {
+		w := Word(flat[i*size : (i+1)*size : (i+1)*size])
+		for j, d := range rows[i*width : (i+1)*width] {
+			w[j] = int(d)
+			if reflect {
+				w[width+j] = base - 1 - int(d)
+			}
 		}
+		words[i] = w
 	}
-	return order
+	return words
 }
-
-func cloneWords(ws []Word) []Word { return CloneWords(ws) }

@@ -1,6 +1,9 @@
 package code
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The generator fuzz harnesses below pin the structural invariants the
 // paper's Φ/Σ optimality argument rests on, over arbitrary (base,
@@ -54,7 +57,8 @@ func FuzzGrayAdjacency(f *testing.F) {
 // FuzzBalancedGraySequence pins the balanced arrangement's contract for
 // arbitrary prefixes: a structurally valid sequence (uniform length,
 // in-base digits, pairwise distinct) that is a Gray path — so the total
-// transition count meets the reflected-word minimum 2·(count-1) exactly.
+// transition count meets the reflected-word minimum 2·(count-1) exactly —
+// and word for word the sequence the reference search returns.
 func FuzzBalancedGraySequence(f *testing.F) {
 	f.Add(2, 8, 16)
 	f.Add(3, 4, 9)
@@ -85,6 +89,8 @@ func FuzzBalancedGraySequence(f *testing.F) {
 		if got, want := TotalTransitions(words), 2*(count-1); got != want {
 			t.Fatalf("total transitions = %d, want the reflected minimum %d", got, want)
 		}
+		want := refBalancedGray(base, length, count, b.SearchBudget, b.DigitChangeTarget)
+		checkSameWords(t, fmt.Sprintf("base %d M %d N %d", base, length, count), words, want)
 	})
 }
 

@@ -63,7 +63,8 @@
 #             when the smoke fails.
 #         11. fuzz smoke — 10s of real fuzzing per fuzz target of every
 #             package under internal/ and cmd/, auto-discovered from the
-#             test files
+#             test files; new inputs are not minimized (a failing input
+#             is still saved, unminimized)
 #
 # Every stage ends with a per-step wall-time table (rendered by
 # scripts/citimes through internal/dataset). Exits non-zero on the first
@@ -395,11 +396,14 @@ run_fuzz_smoke() {
 		echo "fuzz smoke: no Fuzz targets found under internal/ or cmd/" >&2
 		return 1
 	fi
+	# -fuzzminimizetime 0: minimizing each new interesting input re-runs
+	# it many times, which for the file-backed jobs targets ate most of
+	# the 10 s at 0 execs/s.
 	for entry in $found; do
 		dir="${entry%%:*}"
 		target="${entry#*:}"
 		echo "-- $dir $target"
-		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s "./$dir"
+		go test -run '^$' -fuzz "^${target}\$" -fuzztime 10s -fuzzminimizetime 0 "./$dir"
 	done
 }
 
