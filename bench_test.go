@@ -546,7 +546,7 @@ func BenchmarkMultiValued(b *testing.B) {
 // plus correlated-noise Monte Carlo).
 func BenchmarkNoiseStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NoiseStudy(context.Background(), core.Config{}, 20, uint64(i)); err != nil {
+		if _, err := experiments.NoiseStudyWorkers(context.Background(), core.Config{}, 20, uint64(i), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -455,6 +455,12 @@ func TestCLIStructuredOutput(t *testing.T) {
 			{bin, []string{"-exp", "fig7", "-wires", "-3"}},
 			{bin, []string{"-exp", "fig5", "-trials", "-5"}},
 			{bin, []string{"-markdown", "-trials", "-5"}},
+			// A trial count the experiments would scale past MaxInt
+			// (noise ×50, readout ×15, montecarlo over 3 designs).
+			{bin, []string{"-exp", "noise", "-trials", "4611686018427387904"}},
+			{bin, []string{"-exp", "readout", "-trials", "4611686018427387904"}},
+			{bin, []string{"-exp", "montecarlo", "-trials", "4611686018427387904"}},
+			{bin, []string{"-markdown", "-trials", "4611686018427387904"}},
 			// The report is every experiment as Markdown; a flag
 			// choosing one experiment or another format contradicts it.
 			{bin, []string{"-markdown", "-exp", "fig5"}},

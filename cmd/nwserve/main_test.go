@@ -268,6 +268,9 @@ func TestQueryRejectsOutOfRange(t *testing.T) {
 		"/v1/design?sigma=NaN",
 		"/v1/optimize?margin=Inf",
 		"/v1/experiment/fig5?trials=-5",
+		// Scaled by 50 or 15, such a count would wrap.
+		"/v1/experiment/noise?trials=4611686018427387904",
+		"/v1/experiment/readout?trials=4611686018427387904",
 		"/v1/sweep?sigmas=0.05,Inf",
 		"/v1/sweep?margins=0",
 	} {

@@ -1,6 +1,9 @@
 package code
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Gray is the n-ary reflected Gray arrangement of the tree-code space: the
 // same n^(M/2) words as the tree code, ordered so that successive base words
@@ -61,11 +64,20 @@ func (g *Gray) Sequence(count int) ([]Word, error) {
 // classical one: the leading digit counts 0..n-1 and every odd block
 // traverses the remaining digits in reverse, so consecutive indices differ
 // in exactly one digit by ±1.
+//
+// A digit whose stride n^(M/2−1−j) exceeds MaxInt is 0 for every int
+// index, and a 0 digit leaves the index below it unreflected, so the walk
+// starts at the largest stride that fits: in a space beyond MaxInt the
+// word is the zero-padded word of a shorter code.
 func (g *Gray) BaseWord(i int) Word {
 	l := g.BaseLength()
 	w := make(Word, l)
-	stride := pow(g.base, l-1)
-	for j := 0; j < l; j++ {
+	j, stride := l-1, 1
+	for j > 0 && stride <= math.MaxInt/g.base {
+		stride *= g.base
+		j--
+	}
+	for ; j < l; j++ {
 		d := i / stride
 		i %= stride
 		w[j] = d

@@ -261,14 +261,13 @@ func TestBalancedGrayMatchesReference(t *testing.T) {
 // TestBalancedGrayMatchesReferenceWrappingKeys covers lengths where
 // base^(M/2) overflows the 64-bit key, so distinct words share keys (for
 // base 2 at M = 200 the leading 36 digits do not reach the key at all)
-// and only the digit comparison tells them apart. It runs at the larger
-// budget alone: there every count resolves by search, while the plain
-// Gray fallback cannot index a space beyond MaxInt (Gray.BaseWord divides
-// by zero for base 3 at these lengths).
+// and only the digit comparison tells them apart. At budget 50 counts
+// also fall back to the plain Gray code, which indexes these spaces
+// beyond MaxInt.
 func TestBalancedGrayMatchesReferenceWrappingKeys(t *testing.T) {
 	for _, base := range []int{2, 3} {
 		for _, length := range []int{130, 200} {
-			checkBalancedGrayMatches(t, base, length, []int{20_000})
+			checkBalancedGrayMatches(t, base, length, oracleBudgets)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package code
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,61 @@ func TestGrayPaperEligibleSequence(t *testing.T) {
 	}
 	if IsGraySequence(treeOrder, 1) {
 		t.Error("tree-code order wrongly accepted as Gray")
+	}
+}
+
+// TestGrayBaseWordBeyondMaxInt pins BaseWord where n^(M/2) exceeds
+// MaxInt: the leading digits, whose strides no int index reaches, are 0,
+// and the rest is the word of the shortest code whose strides fit, so
+// BaseWord(i) at M = 130 is the zero-padded word of a short Gray code, up
+// to i = MaxInt.
+func TestGrayBaseWordBeyondMaxInt(t *testing.T) {
+	for _, tc := range []struct {
+		base, short int // short: a length whose space holds every index tried
+		idx         []int
+	}{
+		{2, 8, []int{0, 1, 2, 5, 15}},
+		{3, 8, []int{0, 1, 2, 40, 80}},
+		{2, 126, []int{0, 7, 1 << 40, math.MaxInt - 1, math.MaxInt}},
+		{3, 80, []int{0, 5, 3 << 50, math.MaxInt - 1, math.MaxInt}},
+	} {
+		long, err := NewGray(tc.base, 130)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short, err := NewGray(tc.base, tc.short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range tc.idx {
+			got, want := long.BaseWord(i), short.BaseWord(i)
+			pad := len(got) - len(want)
+			for j, d := range got {
+				w := 0
+				if j >= pad {
+					w = want[j-pad]
+				}
+				if d != w {
+					t.Fatalf("base %d: BaseWord(%d) at M=130 = %v, want %v zero-padded", tc.base, i, got, want)
+				}
+			}
+		}
+	}
+	// The reflected words are valid words of the long code.
+	for _, base := range []int{2, 3} {
+		g, err := NewGray(base, 130)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, err := g.Sequence(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range words {
+			if !w.Valid(base) || len(w) != 130 {
+				t.Fatalf("base %d word %d = %v is not a length-130 base-%d word", base, i, w, base)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -338,6 +339,37 @@ func TestInvalidRequests(t *testing.T) {
 	}
 	if got := reg.Counter("engine/computes").Value(); got != 0 {
 		t.Errorf("invalid requests ran %d computes, want 0", got)
+	}
+}
+
+// TestTrialCountsThatWrapRefused: the experiments scale a request's trial
+// count (noise ×50 per half, readout ×15 per study, montecarlo over 3
+// design points), so a count past experiments.MaxMCTrials would wrap into
+// some other count, or a negative one, before any trial ran. The engine
+// refuses such counts as invalid before computing, for every kind that
+// reads them; MaxMCTrials itself passes validation.
+func TestTrialCountsThatWrapRefused(t *testing.T) {
+	ctx, reg := obsCtx()
+	eng := newEngine(t, engine.Options{})
+	for _, trials := range []int{1 << 62, experiments.MaxMCTrials + 1, math.MaxInt} {
+		for _, req := range []engine.Request{
+			{Kind: engine.KindExperiment, Experiment: "noise", Trials: trials},
+			{Kind: engine.KindExperiment, Experiment: "readout", Trials: trials},
+			{Kind: engine.KindExperiment, Experiment: "montecarlo", Trials: trials},
+			{Kind: engine.KindMonteCarlo, Trials: trials},
+		} {
+			_, err := eng.Handle(ctx, req)
+			if !errors.Is(err, nwerr.ErrInvalid) {
+				t.Errorf("%s %q at %d trials: error %v, want ErrInvalid", req.Kind, req.Experiment, trials, err)
+			}
+		}
+	}
+	if got := reg.Counter("engine/computes").Value(); got != 0 {
+		t.Errorf("refused requests ran %d computes, want 0", got)
+	}
+	edge := engine.Request{Kind: engine.KindExperiment, Experiment: "noise", Trials: experiments.MaxMCTrials}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("MaxMCTrials refused: %v", err)
 	}
 }
 

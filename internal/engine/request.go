@@ -4,6 +4,7 @@ import (
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/dataset"
+	"nwdec/internal/experiments"
 	"nwdec/internal/nwerr"
 	"nwdec/internal/sweep"
 )
@@ -152,6 +153,9 @@ func (r Request) Validate() error {
 	}
 	if r.Trials < 0 {
 		return nwerr.Invalidf("engine: negative trial count %d", r.Trials)
+	}
+	if r.Trials > experiments.MaxMCTrials {
+		return nwerr.Invalidf("engine: trial count %d exceeds the maximum %d", r.Trials, experiments.MaxMCTrials)
 	}
 	if r.Kind == KindSweep {
 		if err := r.Grid.Validate(); err != nil {

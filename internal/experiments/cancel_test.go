@@ -77,3 +77,33 @@ func TestRunCancellation(t *testing.T) {
 		t.Errorf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
+
+// TestStudiesCancelMidRun pins the context contract of the noise and
+// readout studies at every worker count: cancelling ctx while their trial
+// chunks run returns ctx's error promptly, whichever worker holds which
+// chunk.
+func TestStudiesCancelMidRun(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, name := range []string{"noise", "readout"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				// 1,000,000 noise trials per half, 300,000 readout
+				// trials per study: seconds of work at any count.
+				heavy := &Runner{MCTrials: 20000, Workers: workers}
+				_, err := heavy.Run(ctx, name)
+				done <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s (workers=%d): err = %v, want context.Canceled", name, workers, err)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("cancelled %s run (workers=%d) did not return within 1s", name, workers)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -393,5 +394,23 @@ func TestFig6HotCompanion(t *testing.T) {
 	out := RenderFig6Hot(surfaces)
 	if !strings.Contains(out, "hot-code variability") || !strings.Contains(out, "AHC (L=8)") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestMaxMCTrialsBoundsDerivedCounts pins MaxMCTrials against the
+// registry: at that many MC trials every count and substream index an
+// experiment derives still fits in an int.
+func TestMaxMCTrialsBoundsDerivedCounts(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale int
+	}{
+		{"noise substreams (two halves)", 2 * noiseTrialScale},
+		{"readout substreams (every study)", len(readoutStudies) * readoutTrialScale},
+		{"montecarlo units", len(mcDesignPoints)},
+	} {
+		if MaxMCTrials > math.MaxInt/c.scale {
+			t.Errorf("%s: %d × MaxMCTrials overflows an int", c.name, c.scale)
+		}
 	}
 }

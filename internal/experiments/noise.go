@@ -3,12 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"nwdec/internal/code"
 	"nwdec/internal/core"
 	"nwdec/internal/crossbar"
 	"nwdec/internal/dataset"
 	"nwdec/internal/mspt"
+	"nwdec/internal/par"
 	"nwdec/internal/physics"
 	"nwdec/internal/stats"
 	"nwdec/internal/textplot"
@@ -36,10 +38,17 @@ type NoiseStudyResult struct {
 	Trials          int
 }
 
-// NoiseStudy runs both variability extensions on the BGC M=10 design. The
-// Monte-Carlo trial loops poll ctx, so cancelling it mid-run returns
-// promptly with ctx's error.
-func NoiseStudy(ctx context.Context, cfg core.Config, trials int, seed uint64) (*NoiseStudyResult, error) {
+// noiseChunkTrials caps the trials of one noise-study chunk.
+const noiseChunkTrials = 256
+
+// NoiseStudyWorkers runs both variability extensions on the BGC M=10
+// design. The Monte-Carlo half-cave trials run on the par pool with the
+// given worker count (<= 0 means GOMAXPROCS): trial t of the independent-
+// noise half draws substream t of the seed and trial t of the
+// pass-correlated half draws substream trials+t, so the output is
+// bit-identical at every worker count. The trial loops poll ctx, so
+// cancelling it mid-run returns promptly with ctx's error.
+func NoiseStudyWorkers(ctx context.Context, cfg core.Config, trials int, seed uint64, workers int) (*NoiseStudyResult, error) {
 	if trials <= 0 {
 		trials = 200
 	}
@@ -75,31 +84,48 @@ func NoiseStudy(ctx context.Context, cfg core.Config, trials int, seed uint64) (
 	iid := mspt.NoiseParams{SigmaRandom: sigma}
 	half := sigma / 1.4142135623730951 // split the variance evenly
 	correlated := mspt.NoiseParams{SigmaRandom: half, SigmaSystematic: half}
-	rng := stats.NewRNG(seed)
-	// Every trial samples into one threshold arena and resolves into one
-	// mask: both are overwritten whole before they are read.
-	vt := design.Plan.NewVTArena()
-	unique := make([]bool, design.Plan.N())
-	countYield := func(np mspt.NoiseParams) (float64, error) {
-		ok := 0
-		for tr := 0; tr < trials; tr++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			design.Plan.SampleVTCorrelatedInto(rng, np, design.Quantizer.VTOf, vt)
-			dec.UniquelyAddressableInto(vt, 0, design.Plan.N(), unique)
-			for _, u := range unique {
-				if u {
-					ok++
+	sub := stats.NewRNG(seed).Substreams()
+	n := design.Plan.N()
+	// A chunk materializes its trials' substreams before its first trial,
+	// so its size is capped: the cap bounds that memory, and the jumps a
+	// chunk makes before it first checks ctx, whatever the trial count.
+	chunk := min(par.ChunkSize(0, trials, workers), noiseChunkTrials)
+	// countYield runs one half's trials, drawing trial t from substream
+	// first+t. A chunk samples into its own threshold arena, resolves
+	// into its own mask (both overwritten whole before they are read) and
+	// adds its addressable-wire count to the total once: integer sums do
+	// not depend on the order chunks finish in.
+	countYield := func(np mspt.NoiseParams, first uint64) (float64, error) {
+		var ok atomic.Int64
+		err := par.ForEachChunks(ctx, workers, trials, chunk, func(cctx context.Context, lo, hi int) error {
+			vt := design.Plan.NewVTArena()
+			unique := make([]bool, n)
+			rngs := sub.Block(first+uint64(lo), hi-lo)
+			count := 0
+			for tr := lo; tr < hi; tr++ {
+				if err := cctx.Err(); err != nil {
+					return err
+				}
+				design.Plan.SampleVTCorrelatedInto(rngs[tr-lo], np, design.Quantizer.VTOf, vt)
+				dec.UniquelyAddressableInto(vt, 0, n, unique)
+				for _, u := range unique {
+					if u {
+						count++
+					}
 				}
 			}
+			ok.Add(int64(count))
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
-		return float64(ok) / float64(trials*design.Plan.N()), nil
+		return float64(ok.Load()) / (float64(trials) * float64(n)), nil
 	}
-	if res.IIDYield, err = countYield(iid); err != nil {
+	if res.IIDYield, err = countYield(iid, 0); err != nil {
 		return nil, err
 	}
-	if res.CorrelatedYield, err = countYield(correlated); err != nil {
+	if res.CorrelatedYield, err = countYield(correlated, uint64(trials)); err != nil {
 		return nil, err
 	}
 	return res, nil

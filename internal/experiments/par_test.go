@@ -111,3 +111,36 @@ func TestRunnerWorkerCountInvisible(t *testing.T) {
 		}
 	}
 }
+
+// TestStudiesWorkerCountInvisible pins the substream discipline of the
+// noise and readout studies: each trial draws its own substream, so the
+// datasets serialize identically at workers 1, 2, 3 and 8, which move the
+// chunk boundaries (150 noise trials per half and 45 readout trials per
+// study split unevenly at every count).
+func TestStudiesWorkerCountInvisible(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"noise", "readout"} {
+		var want [3]string
+		for _, workers := range []int{1, 2, 3, 8} {
+			r := &Runner{MCTrials: 3, Workers: workers}
+			ds, err := r.Run(ctx, name)
+			if err != nil {
+				t.Fatalf("%s (workers=%d): %v", name, workers, err)
+			}
+			js, err := ds.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [3]string{string(js), ds.CSV(), ds.Text()}
+			if workers == 1 {
+				want = got
+				continue
+			}
+			for i, form := range []string{"JSON", "CSV", "text"} {
+				if got[i] != want[i] {
+					t.Errorf("%s: %s at workers=%d differs from workers=1", name, form, workers)
+				}
+			}
+		}
+	}
+}

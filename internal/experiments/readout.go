@@ -38,9 +38,10 @@ type readoutStudy struct {
 	dualRail bool
 }
 
-// readoutStudies are the readout rows in presentation (and RNG fork)
-// order. The arranged hot code gets a second row under the dual-rail
-// drive, which multiplies its blockers per unselected wire.
+// readoutStudies are the readout rows in presentation order; study s
+// draws substreams s·trials to (s+1)·trials−1. The arranged hot code gets
+// a second row under the dual-rail drive, which multiplies its blockers
+// per unselected wire.
 var readoutStudies = []readoutStudy{
 	{code.TypeTree, 10, false},
 	{code.TypeGray, 10, false},
@@ -51,49 +52,51 @@ var readoutStudies = []readoutStudy{
 
 // ReadoutWorkers runs the analog sensing extension: the same designs as
 // Fig. 7, scored by the on/off current-ratio criterion of a
-// series-transistor readout path instead of the digital threshold margin. It
-// runs on the par pool with the given worker count (<= 0 means GOMAXPROCS).
-// Every study's generator is forked from the seed up front, in row order, so
-// which stream a study draws is fixed before the pool schedules it and the
-// output is bit-identical at every worker count. The studies check ctx once
-// per trial, so cancelling it mid-run returns promptly with ctx's error.
+// series-transistor readout path instead of the digital threshold margin.
+// It runs on the par pool with the given worker count (<= 0 means
+// GOMAXPROCS): the designs are built in parallel, then each study's trials
+// run on the pool, trial t of study s drawing substream s·trials+t of the
+// seed, so the output is bit-identical at every worker count. The studies
+// check ctx once per trial, so cancelling it mid-run returns promptly with
+// ctx's error.
 func ReadoutWorkers(ctx context.Context, cfg core.Config, trials int, seed uint64, workers int) ([]ReadoutPoint, error) {
 	if trials <= 0 {
 		trials = 60
 	}
-	tr := readout.DefaultTransistor()
-	rng := stats.NewRNG(seed)
-	rngs := make([]*stats.RNG, len(readoutStudies))
-	for i := range rngs {
-		rngs[i] = rng.Fork()
-	}
-	return par.Map(ctx, workers, readoutStudies,
-		func(ctx context.Context, i int, s readoutStudy) (ReadoutPoint, error) {
+	designs, err := par.Map(ctx, workers, readoutStudies,
+		func(_ context.Context, _ int, s readoutStudy) (*core.Design, error) {
 			c := cfg
 			c.CodeType = s.tp
 			c.CodeLength = s.m
-			d, err := core.NewDesign(c)
-			if err != nil {
-				return ReadoutPoint{}, err
-			}
-			run := readout.MonteCarlo
-			if s.dualRail {
-				run = readout.MonteCarloDualRail
-			}
-			study, err := run(ctx, tr, d.Plan, d.Quantizer, d.Config.SigmaT,
-				readout.DefaultMinRatio, trials, rngs[i])
-			if err != nil {
-				return ReadoutPoint{}, err
-			}
-			return ReadoutPoint{
-				Type:             s.tp,
-				Length:           s.m,
-				DualRail:         s.dualRail,
-				SensableFraction: study.SensableFraction,
-				MedianRatio:      study.Ratios.Median,
-				DigitalYield:     d.Yield(),
-			}, nil
+			return core.NewDesign(c)
 		})
+	if err != nil {
+		return nil, err
+	}
+	tr := readout.DefaultTransistor()
+	sub := stats.NewRNG(seed).Substreams()
+	out := make([]ReadoutPoint, len(readoutStudies))
+	for i, s := range readoutStudies {
+		d := designs[i]
+		run := readout.MonteCarlo
+		if s.dualRail {
+			run = readout.MonteCarloDualRail
+		}
+		study, err := run(ctx, tr, d.Plan, d.Quantizer, d.Config.SigmaT,
+			readout.DefaultMinRatio, trials, sub, uint64(i)*uint64(trials), workers)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ReadoutPoint{
+			Type:             s.tp,
+			Length:           s.m,
+			DualRail:         s.dualRail,
+			SensableFraction: study.SensableFraction,
+			MedianRatio:      study.Ratios.Median,
+			DigitalYield:     d.Yield(),
+		}
+	}
+	return out, nil
 }
 
 // ReadoutDataset packages the analog sensing extension as a structured

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -20,6 +21,23 @@ const (
 	// DefaultSeed drives every stochastic experiment.
 	DefaultSeed uint64 = 2009
 )
+
+// The Monte-Carlo experiments scale the Runner's MCTrials: noise runs
+// noiseTrialScale trials per MC trial in each of its two halves, on
+// substreams up to 2·noiseTrialScale·MCTrials, and readout runs
+// readoutTrialScale per study, on substreams up to
+// len(readoutStudies)·readoutTrialScale·MCTrials.
+const (
+	noiseTrialScale   = 50
+	readoutTrialScale = 15
+)
+
+// MaxMCTrials is the largest MCTrials whose derived counts and substream
+// indices, the largest being the noise study's 2·noiseTrialScale·MCTrials,
+// all fit in an int. A larger count would wrap, and the experiments would
+// run, or label their output with, some other count; the engine refuses
+// requests above it as invalid.
+const MaxMCTrials = math.MaxInt / (2 * noiseTrialScale)
 
 // Runner executes named experiments and returns their structured datasets.
 // The zero value is ready to use: a zero Cfg selects the paper's default
@@ -155,18 +173,18 @@ var registry = []experimentSpec{
 		return ScalingDataset(points), nil
 	}},
 	{"noise", func(ctx context.Context, r Runner) (*dataset.Dataset, error) {
-		res, err := NoiseStudy(ctx, r.Cfg, r.MCTrials*50, r.Seed)
+		res, err := NoiseStudyWorkers(ctx, r.Cfg, r.MCTrials*noiseTrialScale, r.Seed, r.Workers)
 		if err != nil {
 			return nil, err
 		}
 		return NoiseStudyDataset(res, r.Seed), nil
 	}},
 	{"readout", func(ctx context.Context, r Runner) (*dataset.Dataset, error) {
-		points, err := ReadoutWorkers(ctx, r.Cfg, r.MCTrials*15, r.Seed, r.Workers)
+		points, err := ReadoutWorkers(ctx, r.Cfg, r.MCTrials*readoutTrialScale, r.Seed, r.Workers)
 		if err != nil {
 			return nil, err
 		}
-		return ReadoutDataset(points, r.MCTrials*15, r.Seed), nil
+		return ReadoutDataset(points, r.MCTrials*readoutTrialScale, r.Seed), nil
 	}},
 	{"temperature", func(ctx context.Context, r Runner) (*dataset.Dataset, error) {
 		points, err := Temperature(r.Cfg, nil)

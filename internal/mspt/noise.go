@@ -38,12 +38,13 @@ func (n NoiseParams) EffectiveSigma(nu int) float64 {
 }
 
 // SampleVTCorrelated draws one Monte-Carlo realization of the decoder's
-// threshold voltages by replaying the fabrication flow pass by pass: every
-// lithography/doping pass draws one shared systematic offset plus an
-// independent random term per (spacer, region) it doses. nominal maps
-// digits to nominal threshold voltages.
+// threshold voltages under both noise components: every dose a region
+// receives adds an independent random term (SigmaRandom), and every
+// lithography/doping pass adds one shared systematic offset
+// (SigmaSystematic) to all the regions it doses, on every spacer it hits.
+// nominal maps digits to nominal threshold voltages.
 //
-// With SigmaSystematic = 0 this is statistically identical to SampleVT.
+// With SigmaSystematic = 0 this is SampleVT at σ_T = SigmaRandom.
 func (p *Plan) SampleVTCorrelated(rng *stats.RNG, np NoiseParams, nominal func(digit int) float64) [][]float64 {
 	vt := p.NewVTArena()
 	p.SampleVTCorrelatedInto(rng, np, nominal, vt)
@@ -52,29 +53,42 @@ func (p *Plan) SampleVTCorrelated(rng *stats.RNG, np NoiseParams, nominal func(d
 
 // SampleVTCorrelatedInto is SampleVTCorrelated writing into caller-owned
 // row buffers: dst must hold N rows of M floats (see NewVTArena), and every
-// entry is overwritten. It makes SampleVTCorrelated's draws in the same
-// order, so realizations are bit-identical; its only allocation is the
-// one dose scratch slice shared by all N passes' rows.
+// entry is overwritten.
+//
+// It draws the random part exactly as SampleVTInto does (one ziggurat
+// draw per dosed region, scaled by σ_r·√ν: ν independent per-dose terms
+// sum to √ν times one), so with SigmaSystematic = 0 it consumes the same
+// draws and returns the same bits. When SigmaSystematic > 0 it then draws
+// one ziggurat offset per pass, from the bottom row up and within a row in
+// ascending dose order, and adds to each region the sum of the offsets of
+// the passes that dose it: the passes of rows i..N-1 that dose its column.
+// Summing from the bottom row up makes that O(N·M) instead of replaying
+// every pass onto every spacer above it, and each region still receives
+// every pass's offset exactly as the fabrication flow applies it. Its only
+// allocation is the per-column offset sum, and only when SigmaSystematic
+// is positive.
 func (p *Plan) SampleVTCorrelatedInto(rng *stats.RNG, np NoiseParams, nominal func(digit int) float64, dst [][]float64) {
-	for i := 0; i < p.n; i++ {
-		row := dst[i]
-		for j := 0; j < p.m; j++ {
-			row[j] = nominal(p.pattern[i][j])
-		}
+	p.SampleVTInto(rng, np.SigmaRandom, nominal, dst)
+	if np.SigmaSystematic <= 0 {
+		return
 	}
-	doses := make([]int64, 0, p.m)
-	for i := 0; i < p.n; i++ {
-		doses = distinctNonZero(doses, p.s[i])
-		for _, dose := range doses {
-			offset := rng.Normal(0, np.SigmaSystematic)
+	// shared[j] is the offset sum of the passes at or below row i that
+	// dose column j. buf holds a row's passes on the stack: only a row of
+	// more than 8 distinct step doses makes distinctNonZero allocate.
+	shared := make([]float64, p.m)
+	var buf [8]int64
+	for i := p.n - 1; i >= 0; i-- {
+		for _, dose := range distinctNonZero(buf[:0], p.s[i]) {
+			offset := np.SigmaSystematic * rng.NormFloat64Fast()
 			for j, v := range p.s[i] {
-				if v != dose {
-					continue
-				}
-				for k := 0; k <= i; k++ {
-					dst[k][j] += offset + rng.Normal(0, np.SigmaRandom)
+				if v == dose {
+					shared[j] += offset
 				}
 			}
+		}
+		row := dst[i]
+		for j := range row {
+			row[j] += shared[j]
 		}
 	}
 }

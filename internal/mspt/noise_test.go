@@ -108,9 +108,13 @@ func TestPassCorrelationProbeDegenerate(t *testing.T) {
 	}
 }
 
-func TestSampleVTCorrelatedIntoMatchesAllocating(t *testing.T) {
-	// The paper example (base 3, compensation doses) and the noise study's
-	// BGC M=10 half cave.
+// samplerPlans are the sampler tests' plans: the paper example (base 3,
+// compensation doses) and the noise study's BGC M=10 half cave.
+func samplerPlans(t *testing.T) []struct {
+	p       *Plan
+	nominal func(int) float64
+} {
+	t.Helper()
 	q2, err := physics.NewQuantizer(physics.DefaultPhysicalModel(), 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -123,14 +127,86 @@ func TestSampleVTCorrelatedIntoMatchesAllocating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := []struct {
+	return []struct {
 		p       *Plan
 		nominal func(int) float64
 	}{
 		{mustPlan(t, paperGrayPattern()), physics.PaperExampleQuantizer().VTOf},
 		{bgc, q2.VTOf},
 	}
-	for _, pc := range plans {
+}
+
+// TestSampleVTCorrelatedIntoIIDIsSampleVTInto pins the random part of the
+// correlated sampler: without a systematic component it returns the bits
+// SampleVTInto returns and leaves the generator where SampleVTInto does.
+func TestSampleVTCorrelatedIntoIIDIsSampleVTInto(t *testing.T) {
+	for _, pc := range samplerPlans(t) {
+		rng := stats.NewRNG(67)
+		got, want := pc.p.NewVTArena(), pc.p.NewVTArena()
+		for trial := 0; trial < 4; trial++ {
+			ref := rng.Clone()
+			pc.p.SampleVTCorrelatedInto(rng, NoiseParams{SigmaRandom: 0.05}, pc.nominal, got)
+			pc.p.SampleVTInto(ref, 0.05, pc.nominal, want)
+			for i := range want {
+				for j := range want[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("trial %d: vt[%d][%d] = %v, SampleVTInto %v", trial, i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+			if a, b := rng.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("trial %d: generators diverged after the draw", trial)
+			}
+		}
+	}
+}
+
+// TestSampleVTCorrelatedIntoOneOffsetPerPass pins the systematic part's
+// structure: with no random component, the sampler makes exactly Φ
+// ziggurat draws (one per pass), and going up a column a region differs
+// from the one below it (or, on the last row, from nominal) by the offset
+// of the pass that doses it on that row, shared by every region that pass
+// doses, or by nothing where no pass doses it.
+func TestSampleVTCorrelatedIntoOneOffsetPerPass(t *testing.T) {
+	for _, pc := range samplerPlans(t) {
+		p := pc.p
+		rng := stats.NewRNG(71)
+		ref := rng.Clone()
+		vt := p.SampleVTCorrelated(rng, NoiseParams{SigmaSystematic: 0.04}, pc.nominal)
+		for k := 0; k < p.Phi(); k++ {
+			ref.NormFloat64Fast()
+		}
+		if a, b := rng.Uint64(), ref.Uint64(); a != b {
+			t.Fatalf("sampler did not make exactly Φ = %d draws", p.Phi())
+		}
+		pattern, s := p.Pattern(), p.S()
+		dev := func(i, j int) float64 {
+			if i == p.N() {
+				return 0
+			}
+			return vt[i][j] - pc.nominal(pattern[i][j])
+		}
+		for i := 0; i < p.N(); i++ {
+			offsets := map[int64]float64{}
+			for j := 0; j < p.M(); j++ {
+				step := dev(i, j) - dev(i+1, j)
+				if s[i][j] == 0 {
+					if math.Abs(step) > 1e-12 {
+						t.Errorf("row %d column %d: no pass doses it, yet it moved by %g", i, j, step)
+					}
+					continue
+				}
+				if off, seen := offsets[s[i][j]]; seen && math.Abs(step-off) > 1e-12 {
+					t.Errorf("row %d column %d: pass %+d offset %g, another region of it got %g", i, j, s[i][j], step, off)
+				}
+				offsets[s[i][j]] = step
+			}
+		}
+	}
+}
+
+func TestSampleVTCorrelatedIntoMatchesAllocating(t *testing.T) {
+	for _, pc := range samplerPlans(t) {
 		for _, np := range []NoiseParams{
 			{SigmaRandom: 0.05},
 			{SigmaRandom: 0.03, SigmaSystematic: 0.04},

@@ -84,6 +84,6 @@ func (t Transistor) ReadGroupDualRail(q *physics.Quantizer, patterns []code.Word
 
 // MonteCarloDualRail is the dual-rail counterpart of MonteCarlo.
 func MonteCarloDualRail(ctx context.Context, t Transistor, plan *mspt.Plan, q *physics.Quantizer,
-	sigmaT, minRatio float64, trials int, rng *stats.RNG) (*Study, error) {
-	return monteCarlo(ctx, t, plan, q, sigmaT, minRatio, trials, rng, true)
+	sigmaT, minRatio float64, trials int, sub *stats.Substreams, first uint64, workers int) (*Study, error) {
+	return monteCarlo(ctx, t, plan, q, sigmaT, minRatio, trials, sub, first, workers, true)
 }

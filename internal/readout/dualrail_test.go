@@ -94,11 +94,11 @@ func TestDualRailRecoversHotCodeMargin(t *testing.T) {
 	// margin well above the single-rail level.
 	plan, q := dualRailFixture(t, code.TypeArrangedHot, 6, 20)
 	tr := DefaultTransistor()
-	single, err := MonteCarlo(context.Background(), tr, plan, q, 0.05, 10, 30, stats.NewRNG(3))
+	single, err := MonteCarlo(context.Background(), tr, plan, q, 0.05, 10, 30, stats.NewRNG(3).Substreams(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := MonteCarloDualRail(context.Background(), tr, plan, q, 0.05, 10, 30, stats.NewRNG(3))
+	dual, err := MonteCarloDualRail(context.Background(), tr, plan, q, 0.05, 10, 30, stats.NewRNG(3).Substreams(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,16 +130,16 @@ func TestReadGroupDualRailValidation(t *testing.T) {
 func TestMonteCarloDualRailValidation(t *testing.T) {
 	plan, q := dualRailFixture(t, code.TypeGray, 6, 4)
 	tr := DefaultTransistor()
-	if _, err := MonteCarloDualRail(context.Background(), tr, plan, q, 0.05, 10, 0, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarloDualRail(context.Background(), tr, plan, q, 0.05, 10, 0, stats.NewRNG(1).Substreams(), 0, 0); err == nil {
 		t.Error("zero trials accepted")
 	}
 	q3, _ := physics.NewQuantizer(physics.DefaultPhysicalModel(), 3, 0, 1)
-	if _, err := MonteCarloDualRail(context.Background(), tr, plan, q3, 0.05, 10, 3, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarloDualRail(context.Background(), tr, plan, q3, 0.05, 10, 3, stats.NewRNG(1).Substreams(), 0, 0); err == nil {
 		t.Error("base mismatch accepted")
 	}
 	bad := tr
 	bad.GOn = 0
-	if _, err := MonteCarloDualRail(context.Background(), bad, plan, q, 0.05, 10, 3, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarloDualRail(context.Background(), bad, plan, q, 0.05, 10, 3, stats.NewRNG(1).Substreams(), 0, 0); err == nil {
 		t.Error("invalid transistor accepted")
 	}
 }

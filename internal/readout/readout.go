@@ -61,7 +61,10 @@ func (t Transistor) Conductance(vg, vt float64) float64 {
 		}
 		return g
 	}
-	g := t.GOn * t.SubthresholdSlope * math.Pow(10, over/t.SubthresholdSlope)
+	// 10^x as e^(x·ln 10): the same decade law up to rounding (within
+	// 1e-13 relative), at a fraction of math.Pow's cost, which dominated
+	// the readout study's trial loop.
+	g := t.GOn * t.SubthresholdSlope * math.Exp(over/t.SubthresholdSlope*math.Ln10)
 	if g < t.GLeakFloor {
 		g = t.GLeakFloor
 	}

@@ -41,6 +41,14 @@ func TestConductanceRegimes(t *testing.T) {
 	if math.Abs(g1/g2-10) > 1e-6 {
 		t.Errorf("subthreshold slope wrong: ratio %g", g1/g2)
 	}
+	// The decade law itself, GOn·S·10^(over/S), for every subthreshold
+	// overdrive above the floor.
+	for over := -0.6; over < 0; over += 0.013 {
+		want := tr.GOn * tr.SubthresholdSlope * math.Pow(10, over/tr.SubthresholdSlope)
+		if got := tr.Conductance(0.5+over, 0.5); want > tr.GLeakFloor && math.Abs(got/want-1) > 1e-13 {
+			t.Errorf("subthreshold conductance at overdrive %g = %g, want %g", over, got, want)
+		}
+	}
 	// Deep off: clamps at the floor.
 	if got := tr.Conductance(-5, 1); got != tr.GLeakFloor {
 		t.Errorf("floor not applied: %g", got)
@@ -139,7 +147,7 @@ func TestMonteCarloSensability(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := DefaultTransistor()
-	study, err := MonteCarlo(context.Background(), tr, plan, q, 0.05, 0, 40, stats.NewRNG(3))
+	study, err := MonteCarlo(context.Background(), tr, plan, q, 0.05, 0, 40, stats.NewRNG(3).Substreams(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +173,11 @@ func TestMonteCarloSensabilityDegradesWithNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := DefaultTransistor()
-	quiet, err := MonteCarlo(context.Background(), tr, plan, q, 0.02, 10, 30, stats.NewRNG(5))
+	quiet, err := MonteCarlo(context.Background(), tr, plan, q, 0.02, 10, 30, stats.NewRNG(5).Substreams(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := MonteCarlo(context.Background(), tr, plan, q, 0.12, 10, 30, stats.NewRNG(5))
+	noisy, err := MonteCarlo(context.Background(), tr, plan, q, 0.12, 10, 30, stats.NewRNG(5).Substreams(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +193,15 @@ func TestMonteCarloValidation(t *testing.T) {
 	q3, _ := physics.NewQuantizer(physics.DefaultPhysicalModel(), 3, 0, 1)
 	plan, _ := mspt.NewPlanFromGenerator(g, 8, q2, 0)
 	tr := DefaultTransistor()
-	if _, err := MonteCarlo(context.Background(), tr, plan, q3, 0.05, 10, 5, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarlo(context.Background(), tr, plan, q3, 0.05, 10, 5, stats.NewRNG(1).Substreams(), 0, 0); err == nil {
 		t.Error("base mismatch accepted")
 	}
-	if _, err := MonteCarlo(context.Background(), tr, plan, q2, 0.05, 10, 0, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarlo(context.Background(), tr, plan, q2, 0.05, 10, 0, stats.NewRNG(1).Substreams(), 0, 0); err == nil {
 		t.Error("zero trials accepted")
 	}
 	bad := tr
 	bad.GOn = -1
-	if _, err := MonteCarlo(context.Background(), bad, plan, q2, 0.05, 10, 5, stats.NewRNG(1)); err == nil {
+	if _, err := MonteCarlo(context.Background(), bad, plan, q2, 0.05, 10, 5, stats.NewRNG(1).Substreams(), 0, 0); err == nil {
 		t.Error("invalid transistor accepted")
 	}
 }

@@ -73,17 +73,20 @@ func (s *Substreams) At(i uint64) *RNG {
 // Block materializes the n substreams lo, lo+1, ..., lo+n-1 in one pass —
 // the per-chunk fan-out of the Monte-Carlo drivers. The result is
 // bit-identical to base.Streams(lo+n)[lo:] and costs O(n) jumps after the
-// cursor reaches lo.
+// cursor reaches lo. The generators share one backing array, so a block
+// of any size is two allocations.
 func (s *Substreams) Block(lo uint64, n int) []*RNG {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]*RNG, n)
+	gens := make([]RNG, n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k := range out {
 		s.advanceTo(lo + uint64(k) + 1)
-		out[k] = &RNG{s: s.cur}
+		gens[k] = RNG{s: s.cur}
+		out[k] = &gens[k]
 	}
 	return out
 }

@@ -108,3 +108,18 @@ func BenchmarkStreamsEager(b *testing.B) {
 		NewRNG(3).Streams(64)
 	}
 }
+
+// TestBlockAllocsIndependentOfSize pins Block's allocation: one slice of
+// generators and one of pointers, whatever the block size.
+func TestBlockAllocsIndependentOfSize(t *testing.T) {
+	src := NewRNG(5).Substreams()
+	next := uint64(0)
+	for _, n := range []int{1, 10, 200} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			src.Block(next, n)
+			next += uint64(n)
+		}); allocs != 2 {
+			t.Errorf("Block of %d allocates %v times, want 2", n, allocs)
+		}
+	}
+}

@@ -26,7 +26,7 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 GOMAXPROCS=1 go test -run '^$' \
-	-bench 'BenchmarkFig7$|BenchmarkFig8$|BenchmarkMonteCarloValidation$|BenchmarkSweepGrid$|BenchmarkReadoutStudy$|BenchmarkNoiseStudy$|BenchmarkParScaling|BenchmarkMonteCarloScaling|BenchmarkChunkSweep|BenchmarkJobCheckpoint|BenchmarkDistributedChunks|BenchmarkCodeGeneration$|BenchmarkPlanConstruction$|BenchmarkYieldAnalysis$|BenchmarkFunctionalLayer$|BenchmarkRegionProb$|BenchmarkEngineCold$|BenchmarkEngineCacheHit$' \
+	-bench 'BenchmarkFig7$|BenchmarkFig8$|BenchmarkMonteCarloValidation$|BenchmarkSweepGrid$|BenchmarkReadoutStudy$|BenchmarkNoiseStudy$|BenchmarkCorrelatedSampling$|BenchmarkParScaling|BenchmarkMonteCarloScaling|BenchmarkChunkSweep|BenchmarkJobCheckpoint|BenchmarkDistributedChunks|BenchmarkCodeGeneration$|BenchmarkPlanConstruction$|BenchmarkYieldAnalysis$|BenchmarkFunctionalLayer$|BenchmarkRegionProb$|BenchmarkEngineCold$|BenchmarkEngineCacheHit$' \
 	-benchmem -benchtime "$benchtime" . | tee "$tmp"
 
 awk -v benchtime="$benchtime" '
